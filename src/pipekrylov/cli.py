@@ -33,7 +33,7 @@ from .problems import (
     make_sinker,
     make_toy_diagonal,
 )
-from .solvers import METHODS, SolveResult, SolverConfig, solve
+from .solvers import METHODS, SolveResult, SolverConfig, prescale_operator, solve
 from .traceio import write_compare_csv, write_perfmodel_csv, write_trace_csv
 
 __all__ = ["main"]
@@ -269,24 +269,6 @@ def _build_operator(values: dict) -> tuple[ProblemInstance, SparseOperator]:
     return problem, A
 
 
-def _pc_operator(A: SparseOperator, prescale: bool) -> SparseOperator:
-    """Operator the preconditioner is built from; matches the scaling the
-    solve applies internally when prescale is set."""
-    if not prescale:
-        return A
-    import numpy as np
-    import scipy.sparse
-    d = A.diagonal()
-    if not np.all(d > 0.0):
-        raise _ConfigError("prescale requires a strictly positive diagonal")
-    isq = 1.0 / np.sqrt(d)
-    S = scipy.sparse.diags(isq)
-    M = S @ A.csr @ S
-    if A.symmetric:
-        M = (M + M.T) * 0.5
-    return SparseOperator.from_scipy(M, symmetric=A.symmetric)
-
-
 def _build_pc(values: dict, A: SparseOperator):
     try:
         return make_preconditioner(values["pc"], A, eta=values["eta"],
@@ -338,8 +320,8 @@ def _exit_code(result: SolveResult, strict: bool) -> int:
 def _run_one(values: dict, method: str) -> SolveResult:
     problem, A = _build_operator(values)
     cfg = _solver_config(values, method)
-    B = _build_pc(values, _pc_operator(A, cfg.prescale))
     try:
+        B = _build_pc(values, prescale_operator(A) if cfg.prescale else A)
         return solve(cfg, A, B, problem.b, x_true=problem.x_true,
                      seed=values["seed"])
     except ValueError as exc:

@@ -2,15 +2,21 @@
 
 Fourteen method variants are organized in four families (conjugate
 gradients, flexible conjugate gradients, conjugate residuals, flexible
-minimal residual); :func:`solve` validates the configuration and
-dispatches to the family driver.  Every driver shares the stopping,
-stagnation, and breakdown-restart policy of :class:`RunControl` and logs
-a :class:`TraceRow` per iteration, including a per-method-constant count
-of blocking and overlappable reduction phases.
+minimal residual); :func:`solve` validates the input and dispatches to
+the family driver.  Every driver is built on one run skeleton,
+:class:`~.common.Driver`: it logs row 0, runs the tail of each accepted
+row and the breakdown path (refill, flagged row, restart or stop) under
+the stopping, stagnation and restart policy of :class:`RunControl`.  A
+method supplies only its refill, its per-iteration step and its
+per-row constants, the counts of blocking and overlappable reduction
+phases.  The windowed methods keep their retained directions in one
+:class:`~.common.DirectionWindow`.  The restarted minimal-residual
+cycles share the skeleton's row tail and breakdown path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,10 +64,7 @@ __all__ = [
     "IterationTrace",
     "TraceRow",
     "solve",
-    "run_cg_family",
-    "run_fcg_family",
-    "run_cr_family",
-    "run_gmres_family",
+    "prescale_operator",
     "estimate_sigma",
     "stabilized_m_update",
     "truncation_window",
@@ -88,6 +91,26 @@ REDUCTION_LEDGER: dict[str, tuple[int, int, frozenset]] = {
     "pipefgmres": (0, 1, frozenset({"pc", "spmv"})),
 }
 
+_DRIVERS = {**_cg.DRIVERS, **_fcg.DRIVERS, **_cr.DRIVERS, **_gmres.DRIVERS}
+
+
+def prescale_operator(A: SparseOperator) -> SparseOperator:
+    """Symmetric Jacobi scaling D^-1/2 A D^-1/2, as ``solve`` applies it
+    when ``cfg.prescale`` is set; build a preconditioner that depends on
+    A from this operator."""
+    d = A.diagonal()
+    if not np.all(d > 0.0):
+        raise ValueError("prescale requires a strictly positive diagonal")
+    isq = 1.0 / np.sqrt(d)
+    S = scipy.sparse.diags(isq)
+    M = S @ A.csr @ S
+    if A.symmetric:
+        # the two-sided scaling rounds (isq[i]*a)*isq[j] and
+        # (isq[j]*a)*isq[i] differently; average the transpose pair so
+        # the scaled operator stays exactly symmetric
+        M = (M + M.T) * 0.5
+    return SparseOperator.from_scipy(M, symmetric=A.symmetric)
+
 
 def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
           b, x0=None, x_true=None,
@@ -102,9 +125,9 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     iteration when ``cfg.sigma_auto_power`` > 0.
 
     With ``cfg.prescale`` the system is symmetrically Jacobi-scaled
-    first; B then applies in the scaled space (build it from the scaled
-    operator when it depends on A) and the trace reports scaled
-    residuals, while the returned iterate is mapped back.
+    first; B then applies in the scaled space (build it from
+    :func:`prescale_operator` when it depends on A) and the trace reports
+    scaled residuals, while the returned iterate is mapped back.
 
     The CG and FCG families additionally assume B is linear and positive
     (and PCR linear); this is not checked, and a violating preconditioner
@@ -123,6 +146,9 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
         x_true = as_vector(x_true)
         if x_true.shape[0] != A.n_rows:
             raise ValueError("x_true length does not match the operator")
+    for name, v in (("right-hand side", b), ("initial guess", x0), ("x_true", x_true)):
+        if v is not None and not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} holds NaN or inf")
     if cfg.method in SYMMETRIC_REQUIRED_METHODS and not A.symmetric:
         raise ValueError(
             f"method {cfg.method!r} requires a symmetric-flagged operator")
@@ -130,39 +156,22 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     unscale = None
     A_run, b_run, x0_run, x_true_run = A, b, x0, x_true
     if cfg.prescale:
-        d = A.diagonal()
-        if not np.all(d > 0.0):
-            raise ValueError("prescale requires a strictly positive diagonal")
-        isq = 1.0 / np.sqrt(d)
-        S = scipy.sparse.diags(isq)
-        M = S @ A.csr @ S
-        if A.symmetric:
-            # the two-sided scaling rounds (isq[i]*a)*isq[j] and
-            # (isq[j]*a)*isq[i] differently; average the transpose pair so
-            # the scaled operator stays exactly symmetric
-            M = (M + M.T) * 0.5
-        A_run = SparseOperator.from_scipy(M, symmetric=A.symmetric)
+        A_run = prescale_operator(A)
+        isq = 1.0 / np.sqrt(A.diagonal())
         b_run = b * isq
         x0_run = x0 / isq
         x_true_run = None if x_true is None else x_true / isq
         unscale = isq
 
-    sigma = cfg.sigma
     if cfg.method in ("cgfgmres", "pipefgmres") and cfg.sigma_auto_power > 0:
         sigma, _ = estimate_sigma(A_run, B, cfg.sigma_auto_power, seed)
+        cfg = dataclasses.replace(cfg, sigma=sigma)
 
     rec = TraceRecorder(A_run, b_run, x_true_run, cfg.monitor_true_residual,
                         observer)
     try:
-        if cfg.method in CG_FAMILY:
-            out = _cg.run(cfg, A_run, B, b_run, x0_run, rec)
-        elif cfg.method in FCG_FAMILY:
-            out = _fcg.run(cfg, A_run, B, b_run, x0_run, rec)
-        elif cfg.method in CR_FAMILY:
-            out = _cr.run(cfg, A_run, B, b_run, x0_run, rec)
-        else:
-            out = _gmres.run(cfg, A_run, B, b_run, x0_run, rec, sigma)
-        x_run, converged, iterations, reason = out
+        x_run, converged, iterations, reason = _DRIVERS[cfg.method](
+            cfg, A_run, B, b_run, x0_run, rec)
     except FloatingPointError:
         # Non-finite state escaped the per-driver guards; report the last
         # iterate that produced a finite trace row.
@@ -176,16 +185,3 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
                        iterations=iterations, stop_reason=reason,
                        trace=rec.trace)
 
-
-def _family_runner(family: tuple, label: str):
-    def runner(cfg: SolverConfig, A, B, b, x0=None, **kwargs) -> SolveResult:
-        if cfg.method not in family:
-            raise ValueError(f"{cfg.method!r} is not a {label} method")
-        return solve(cfg, A, B, b, x0, **kwargs)
-    return runner
-
-
-run_cg_family = _family_runner(CG_FAMILY, "conjugate gradient")
-run_fcg_family = _family_runner(FCG_FAMILY, "flexible conjugate gradient")
-run_cr_family = _family_runner(CR_FAMILY, "conjugate residual")
-run_gmres_family = _family_runner(GMRES_FAMILY, "flexible minimal residual")

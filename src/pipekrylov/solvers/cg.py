@@ -11,267 +11,110 @@ application of the same iteration.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from ..linalg import dot, norm2
-from .common import RunControl, SolverConfig, TraceRecorder
+from ..linalg import dot
+from .common import NO_TAGS, Driver, natural_norm, positive
 
-NO_TAGS = frozenset()
 PIPECG_TAGS = frozenset({"pc", "spmv"})
 
 
-def _positive(value: float) -> bool:
-    return value > 0.0 and math.isfinite(value)
-
-
-def run(cfg: SolverConfig, A, B, b, x0, rec: TraceRecorder):
-    if cfg.method == "pcg":
-        return _pcg(cfg, A, B, b, x0, rec)
-    if cfg.method == "cgcg":
-        return _cgcg(cfg, A, B, b, x0, rec)
-    return _pipecg(cfg, A, B, b, x0, rec)
-
-
-def _log_initial(rec, ctl_args, x, r, gamma, rec_extra):
-    """Log row 0 and decide whether iteration can begin.
-
-    Returns (ctl, natural, status) with status one of "run", "converged",
-    "unrecoverable".
-    """
-    cfg = ctl_args
-    ok = _positive(gamma)
-    natural = math.sqrt(gamma) if ok else norm2(r)
-    ctl = RunControl(cfg, natural)
-    rec.log(0, x, natural, 0, 0, 0, NO_TAGS, breakdown=not ok and natural > 0.0)
-    rec.observe("state", 0, x=x, r=r, **rec_extra)
-    if natural == 0.0 or ctl.converged(natural):
-        return ctl, natural, "converged"
-    if not ok:
-        return ctl, natural, "unrecoverable"
-    return ctl, natural, "run"
-
-
 def _pcg(cfg, A, B, b, x0, rec):
-    x = x0.copy()
-
-    def refill(xc):
-        r = b - A.apply(xc)
-        u = B.apply(r)
-        return r, u, dot(u, r)
-
-    r, u, gamma = refill(x)
-    ctl, natural, status = _log_initial(rec, cfg, x, r, gamma, {"u": u})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    if status == "unrecoverable":
-        return x, False, 0, "breakdown_unrecoverable"
-
+    r = u = gamma = beta = fresh = None
     p = np.zeros_like(b)
-    beta = 0.0
-    fresh = True
-    i = 0
-    while i < cfg.max_it:
-        i += 1
+
+    def refill(x):
+        nonlocal r, u, gamma, beta, fresh
+        r = b - A.apply(x)
+        u = B.apply(r)
+        gamma = dot(u, r)
+        beta, fresh = 0.0, True
+        return natural_norm(gamma, r), positive(gamma), {"r": r, "u": u}
+
+    def step(x):
+        nonlocal p, r, u, gamma, beta, fresh
         p = u + beta * p
         s = A.apply(p)
         delta = dot(s, p)                       # blocking phase 1
-        if _positive(delta):
-            alpha = gamma / delta
-            x = x + alpha * p
-            r = r - alpha * s
-            u = B.apply(r)
-            gamma_new = dot(u, r)               # blocking phase 2
-            if _positive(gamma_new):
-                beta = gamma_new / gamma
-                gamma = gamma_new
-                natural = math.sqrt(gamma)
-                rec.log(i, x, natural, 0 if fresh else 1, 2, 0, NO_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u, p=p)
-                fresh = False
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        # breakdown: a recurred scalar turned nonpositive (or non-finite)
-        r, u, gamma = refill(x)
-        ok = _positive(gamma)
-        natural = math.sqrt(gamma) if ok else norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            # the refill uncovered convergence, not a failed recovery
-            rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=u)
-            return x, True, i, ctl.converged_reason
-        recover = ok and ctl.allow_restart()
-        rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True, restarted=recover)
-        rec.observe("state", i, x=x, r=r, u=u)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        beta = 0.0
-        fresh = True
-    return x, False, i, "max_it"
-
-
-def _cgcg(cfg, A, B, b, x0, rec):
-    x = x0.copy()
-
-    def refill(xc):
-        r = b - A.apply(xc)
-        u = B.apply(r)
-        w = A.apply(u)
-        return r, u, w, dot(r, u), dot(w, u)
-
-    r, u, w, gamma, delta = refill(x)
-    ctl, natural, status = _log_initial(rec, cfg, x, r, gamma, {"u": u})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    if status == "unrecoverable" or not _positive(delta):
-        return x, False, 0, "breakdown_unrecoverable"
-
-    alpha = gamma / delta
-    beta = 0.0
-    p = np.zeros_like(b)
-    s = np.zeros_like(b)
-    fresh = True
-    i = 0
-    while i < cfg.max_it:
-        i += 1
-        p = u + beta * p
-        s = w + beta * s
+        if not positive(delta):
+            return x, None
+        alpha = gamma / delta
         x = x + alpha * p
         r = r - alpha * s
         u = B.apply(r)
-        w = A.apply(u)
-        gamma_new = dot(r, u)
-        delta = dot(w, u)                       # one batched blocking phase
-        if _positive(gamma_new):
-            beta = gamma_new / gamma
-            denom = delta - beta * gamma_new / alpha
-            if _positive(denom):
-                alpha = gamma_new / denom
-                gamma = gamma_new
-                natural = math.sqrt(gamma)
-                rec.log(i, x, natural, 0 if fresh else 1, 1, 0, NO_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u, p=p)
-                fresh = False
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r, u, w, gamma, delta = refill(x)
-        ok = _positive(gamma) and _positive(delta)
-        natural = math.sqrt(gamma) if _positive(gamma) else norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            rec.log(i, x, natural, 0, 2, 0, NO_TAGS, breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=u)
-            return x, True, i, ctl.converged_reason
-        recover = ok and ctl.allow_restart()
-        rec.log(i, x, natural, 0, 2, 0, NO_TAGS, breakdown=True, restarted=recover)
-        rec.observe("state", i, x=x, r=r, u=u)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        alpha = gamma / delta
-        beta = 0.0
-        p = np.zeros_like(b)
-        s = np.zeros_like(b)
-        fresh = True
-    return x, False, i, "max_it"
+        gamma_new = dot(u, r)                   # blocking phase 2
+        if not positive(gamma_new):
+            return x, None
+        beta = gamma_new / gamma
+        gamma = gamma_new
+        nu, fresh = 0 if fresh else 1, False
+        return x, (math.sqrt(gamma), nu, {"r": r, "u": u, "p": p})
+
+    return Driver(cfg, rec, 2, 0, NO_TAGS).run(x0.copy(), refill, step)
 
 
-def _pipecg(cfg, A, B, b, x0, rec):
-    x = x0.copy()
+def _cgcg(cfg, A, B, b, x0, rec, pipelined):
+    """Fused-recurrence CG; pipelined, it also recurs m = B(w) and
+    n = A(m), so its one reduction phase overlaps their application."""
+    r = u = w = m = n = p = s = q = z = None
+    gamma = delta = alpha = beta = fresh = None
 
-    def refill(xc):
-        r = b - A.apply(xc)
+    def refill(x):
+        nonlocal r, u, w, m, n, p, s, q, z, gamma, delta, alpha, beta, fresh
+        r = b - A.apply(x)
         u = B.apply(r)
         w = A.apply(u)
         gamma = dot(r, u)
         delta = dot(w, u)
-        m = B.apply(w)
-        n = A.apply(m)
-        return r, u, w, m, n, gamma, delta
+        if pipelined:
+            m = B.apply(w)
+            n = A.apply(m)
+        ok = positive(gamma) and positive(delta)
+        if ok:
+            alpha = gamma / delta
+        beta, fresh = 0.0, True
+        p, s, q, z = (np.zeros_like(b) for _ in range(4))
+        return natural_norm(gamma, r), ok, {"r": r, "u": u}
 
-    r, u, w, m, n, gamma, delta = refill(x)
-    ctl, natural, status = _log_initial(rec, cfg, x, r, gamma, {"u": u})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    if status == "unrecoverable" or not _positive(delta):
-        return x, False, 0, "breakdown_unrecoverable"
-
-    alpha = gamma / delta
-    beta = 0.0
-    p = np.zeros_like(b)
-    s = np.zeros_like(b)
-    q = np.zeros_like(b)
-    z = np.zeros_like(b)
-    fresh = True
-    i = 0
-    while i < cfg.max_it:
-        i += 1
-        z = n + beta * z
-        q = m + beta * q
-        s = w + beta * s
+    def step(x):
+        nonlocal r, u, w, m, n, p, s, q, z, gamma, delta, alpha, beta, fresh
         p = u + beta * p
+        s = w + beta * s
         x = x + alpha * p
         r = r - alpha * s
-        u = u - alpha * q
-        w = w - alpha * z
+        if pipelined:
+            q = m + beta * q
+            z = n + beta * z
+            u = u - alpha * q
+            w = w - alpha * z
+        else:
+            u = B.apply(r)
+            w = A.apply(u)
         gamma_new = dot(r, u)
-        delta = dot(w, u)                       # overlappable phase, hidden by:
-        m = B.apply(w)
-        n = A.apply(m)
-        if _positive(gamma_new):
-            beta = gamma_new / gamma
-            denom = delta - beta * gamma_new / alpha
-            if _positive(denom):
-                alpha = gamma_new / denom
-                gamma = gamma_new
-                natural = math.sqrt(gamma)
-                rec.log(i, x, natural, 0 if fresh else 1, 0, 1, PIPECG_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u, p=p)
-                fresh = False
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r, u, w, m, n, gamma, delta = refill(x)
-        ok = _positive(gamma) and _positive(delta)
-        natural = math.sqrt(gamma) if _positive(gamma) else norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            rec.log(i, x, natural, 0, 1, 1, PIPECG_TAGS, breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=u)
-            return x, True, i, ctl.converged_reason
-        recover = ok and ctl.allow_restart()
-        rec.log(i, x, natural, 0, 1, 1, PIPECG_TAGS, breakdown=True, restarted=recover)
-        rec.observe("state", i, x=x, r=r, u=u)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        alpha = gamma / delta
-        beta = 0.0
-        p = np.zeros_like(b)
-        s = np.zeros_like(b)
-        q = np.zeros_like(b)
-        z = np.zeros_like(b)
-        fresh = True
-    return x, False, i, "max_it"
+        delta = dot(w, u)                       # the one phase; pipelined, hidden by:
+        if pipelined:
+            m = B.apply(w)
+            n = A.apply(m)
+        if not positive(gamma_new):
+            return x, None
+        beta = gamma_new / gamma
+        denom = delta - beta * gamma_new / alpha
+        if not positive(denom):
+            return x, None
+        alpha = gamma_new / denom
+        gamma = gamma_new
+        nu, fresh = 0 if fresh else 1, False
+        return x, (math.sqrt(gamma), nu, {"r": r, "u": u, "p": p})
+
+    if pipelined:
+        return Driver(cfg, rec, 0, 1, PIPECG_TAGS).run(x0.copy(), refill, step)
+    return Driver(cfg, rec, 1, 0, NO_TAGS).run(x0.copy(), refill, step)
+
+
+DRIVERS = {
+    "pcg": _pcg,
+    "cgcg": partial(_cgcg, pipelined=False),
+    "pipecg": partial(_cgcg, pipelined=True),
+}

@@ -1,16 +1,18 @@
-"""Shared solver plumbing: configuration, traces, stopping logic, and the
-operations every method family reuses (truncation windows, the stabilized
+"""Shared solver plumbing: configuration, traces, stopping logic, the run
+skeleton every driver is built on, and the operations every method family
+reuses (the truncated direction window, the stabilized
 preconditioned-direction update, and shift estimation).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..linalg import SparseOperator, dot, norm2
+from ..linalg import SparseOperator, dot, maxpy, norm2
 from ..preconditioners import Preconditioner
 from ..rng import SplitMix64
 
@@ -31,6 +33,8 @@ __all__ = [
     "estimate_sigma",
     "TraceRecorder",
     "RunControl",
+    "Driver",
+    "DirectionWindow",
 ]
 
 CG_FAMILY = ("pcg", "cgcg", "pipecg")
@@ -46,6 +50,9 @@ SYMMETRIC_REQUIRED_METHODS = CG_FAMILY + FCG_FAMILY + CR_FAMILY
 # A solve stagnates when the best natural norm fails to improve by this
 # relative amount over a full stagnation window.
 STAGNATION_RTOL = 1e-4
+
+UNRECOVERABLE = "breakdown_unrecoverable"
+NO_TAGS = frozenset()
 
 TRUNCATION_STRATEGIES = ("notay_mod", "standard")
 THETA_MODES = ("zero", "one", "exact")
@@ -177,6 +184,72 @@ def truncation_window(i: int, numax: int, strategy: str) -> int:
     raise ValueError(f"unknown truncation strategy {strategy!r}")
 
 
+def positive(value: float) -> bool:
+    return value > 0.0 and math.isfinite(value)
+
+
+def accepted_row(square: float, nu: int, r, u, p, s, eta):
+    """Row of a windowed method whose natural norm is sqrt(square)."""
+    return math.sqrt(square), nu, {"r": r, "u": u}, {"p": p, "s": s, "eta": eta}
+
+
+def natural_norm(gamma: float, r: np.ndarray) -> float:
+    """Natural norm sqrt(gamma) of the CG and FCG families, falling back to
+    the residual 2-norm when the coupling scalar gamma is not positive."""
+    return math.sqrt(gamma) if positive(gamma) else norm2(r)
+
+
+class DirectionWindow:
+    """Truncated history of direction tuples ``(p, s, ..., eta)``.
+
+    Entries are held as parallel lists of vectors, at most ``numax`` deep.
+    The second column is the operator image the conjugation coefficients
+    are taken against and the last column holds the energies ``eta``.
+    The truncation rule sizes the window from the number of directions
+    pushed since the last ``clear``.
+    """
+
+    def __init__(self, cfg: SolverConfig, width: int):
+        self._numax = cfg.numax
+        self._strategy = cfg.truncation
+        self._cols: list[list] = [[] for _ in range(width)]
+        self._built = 0
+
+    def last(self, nu: int) -> list[list]:
+        return [col[len(col) - nu:] for col in self._cols]
+
+    def push(self, *entry) -> None:
+        for col, value in zip(self._cols, entry):
+            col.append(value)
+            if len(col) > self._numax:
+                del col[0]
+        self._built += 1
+
+    def clear(self) -> None:
+        for col in self._cols:
+            col.clear()
+        self._built = 0
+
+    def betas(self, v: np.ndarray) -> list[float]:
+        """Coefficients -<v, s_k>/eta_k over the window allowed for the next
+        direction; their count is the window size nu."""
+        if self._built == 0:
+            return []
+        nu = min(truncation_window(self._built, self._numax, self._strategy),
+                 len(self._cols[0]))
+        S, H = self._cols[1], self._cols[-1]
+        return [-dot(v, sk) / hk for sk, hk in zip(S[len(S) - nu:], H[len(H) - nu:])]
+
+    def combine(self, betas: list, *heads: np.ndarray) -> list[np.ndarray]:
+        """heads[j] + sum_k betas[k] * column_j[k] for each leading column."""
+        return [maxpy(h, betas, col) for h, col in zip(heads, self.last(len(betas)))]
+
+    def energy(self, betas: list) -> float:
+        """sum_k betas[k]^2 eta_k, the energy the conjugation removes."""
+        H = self._cols[-1]
+        return sum(bk * bk * hk for bk, hk in zip(betas, H[len(H) - len(betas):]))
+
+
 def stabilized_m_update(B: Preconditioner, u_tilde: np.ndarray, w: np.ndarray,
                         r: np.ndarray, mode: str):
     """Preconditioned image of w for the pipelined flexible methods.
@@ -264,7 +337,8 @@ class TraceRecorder:
         self.trace.append(TraceRow(i, natural, rnorm_true, relerr, nu_used,
                                    red_blocking, red_overlapped, tags,
                                    breakdown, restarted))
-        self.last_x = np.array(x, copy=True)
+        # a reference, not a copy: drivers rebind x, never update it in place
+        self.last_x = x
 
     def observe(self, event: str, i: int, **payload) -> None:
         if self._observer is not None:
@@ -315,3 +389,103 @@ class RunControl:
             return False
         self._best_at_restart = self.best
         return True
+
+
+class Driver:
+    """Run skeleton shared by every method driver.
+
+    It logs row 0, runs the tail of each accepted row (log, observe,
+    convergence, stagnation) and the breakdown path (refill, flagged row,
+    restart or stop); a row after a refill adds one blocking phase to the
+    method's per-row reduction-phase constants.  Results are
+    ``(x, converged, iterations, stop_reason)``.  Drivers rebind the
+    iterate on every update and never change it in place: the recorder
+    keeps a reference to the last one logged.
+    """
+
+    def __init__(self, cfg: SolverConfig, rec: TraceRecorder, blocking: int,
+                 overlapped: int, tags: frozenset):
+        self.cfg = cfg
+        self.rec = rec
+        self.blocking = blocking
+        self.overlapped = overlapped
+        self.tags = tags
+        self.ctl: Optional[RunControl] = None
+        # set when a restart cycle refilled the residual; the next row
+        # carries that refill's blocking phase and the restarted flag
+        self.cycle_restart = False
+
+    def run(self, x: np.ndarray, refill: Callable, step: Callable):
+        """The iteration loop of a method given as two functions.
+
+        ``refill(x)`` rebuilds the method's state from the iterate, empties
+        its window, and returns ``(natural, ok, state)``; ``ok`` is False
+        when a coupling scalar of the new state is not positive.
+        ``step(x)`` runs one iteration and returns ``(x, row)``, where row
+        is ``(natural, nu, state[, direction])`` or None on breakdown.
+        ``state`` and ``direction`` are the observer payloads.
+        """
+        done = self.start(x, *refill(x))
+        i = 0
+        while done is None and i < self.cfg.max_it:
+            i += 1
+            x, row = step(x)
+            if row is None:
+                done = self.recover(i, x, *refill(x))
+            else:
+                done = self.accept(i, x, *row)
+        return done or (x, False, i, "max_it")
+
+    def start(self, x, natural, ok: bool, state: dict):
+        """Log row 0; returns the result when the run ends there."""
+        self.ctl = RunControl(self.cfg, natural)
+        self.rec.log(0, x, natural, 0, 0, 0, NO_TAGS,
+                     breakdown=not ok and natural > 0.0)
+        self.rec.observe("state", 0, x=x, **state)
+        if self.ctl.converged(natural):
+            return x, True, 0, self.ctl.converged_reason
+        return None if ok else (x, False, 0, UNRECOVERABLE)
+
+    def accept(self, i, x, natural, nu, state: dict,
+               direction: Optional[dict] = None,
+               breakdown=False, restarted=False):
+        """Tail of an accepted row; returns the result when the run stops."""
+        self._log(i, x, natural, nu, 0, breakdown,
+                  restarted or self.cycle_restart, state)
+        if direction is not None:
+            self.rec.observe("direction", i, **direction)
+        if self.ctl.converged(natural):
+            return x, True, i, self.ctl.converged_reason
+        return self._stagnated(i, x, natural)
+
+    def recover(self, i, x, natural, ok: bool, state: dict, nu=0,
+                breakdown=True):
+        """Breakdown path once the state is refilled from x.
+
+        A refill that uncovers convergence ends the run.  Otherwise the row
+        is flagged and the run restarts if ``ok`` and the restart policy
+        allow it; ``breakdown=False`` marks a vanished minimal-residual
+        column, which always restarts.
+        """
+        if not math.isfinite(natural):
+            return x, False, i, UNRECOVERABLE
+        if self.ctl.converged(natural):
+            # the refill uncovered convergence, not a failed recovery
+            self._log(i, x, natural, nu, 1, breakdown, False, state)
+            return x, True, i, self.ctl.converged_reason
+        restart = not breakdown or (ok and self.ctl.allow_restart())
+        self._log(i, x, natural, nu, 1, breakdown, restart, state)
+        if not restart:
+            return x, False, i, UNRECOVERABLE
+        return self._stagnated(i, x, natural)
+
+    def _log(self, i, x, natural, nu, refills, breakdown, restarted, state):
+        refills += self.cycle_restart
+        self.cycle_restart = False
+        self.rec.log(i, x, natural, nu, self.blocking + refills, self.overlapped,
+                     self.tags, breakdown=breakdown, restarted=restarted)
+        self.rec.observe("state", i, x=x, **state)
+
+    def _stagnated(self, i, x, natural):
+        stag = self.ctl.note(natural)
+        return None if stag is None else (x, False, i, stag)

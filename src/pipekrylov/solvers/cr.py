@@ -20,388 +20,155 @@ a recurrence breakdown and triggers a restart.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from ..linalg import dot, maxpy, norm2
+from ..linalg import dot, norm2
 from .common import (
-    RunControl,
-    SolverConfig,
-    TraceRecorder,
+    NO_TAGS,
+    DirectionWindow,
+    Driver,
+    accepted_row,
+    positive,
     stabilized_m_update,
-    truncation_window,
 )
 
-NO_TAGS = frozenset()
 PIPEGCR_TAGS = frozenset({"pc", "local"})
 PIPEGCR_W_TAGS = frozenset({"pc", "spmv", "local"})
 
 
-def _positive(value: float) -> bool:
-    return value > 0.0 and math.isfinite(value)
-
-
-def run(cfg: SolverConfig, A, B, b, x0, rec: TraceRecorder):
-    if cfg.method == "gcr":
-        return _gcr(cfg, A, B, b, x0, rec)
-    if cfg.method == "pcr":
-        return _pcr(cfg, A, B, b, x0, rec)
-    if cfg.method == "pipegcr":
-        return _pipegcr(cfg, A, B, b, x0, rec)
-    return _pipegcr_w(cfg, A, B, b, x0, rec)
-
-
-def _window(jdir: int, cfg: SolverConfig, available: int) -> int:
-    if jdir == 0:
-        return 0
-    return min(truncation_window(jdir, cfg.numax, cfg.truncation), available)
-
-
-def _trim(histories, numax: int) -> None:
-    while len(histories[0]) > numax:
-        for h in histories:
-            del h[0]
-
-
-def _initial_row(rec, cfg, x, r, extra):
-    natural = norm2(r)
-    ctl = RunControl(cfg, natural)
-    rec.log(0, x, natural, 0, 0, 0, NO_TAGS)
-    rec.observe("state", 0, x=x, r=r, **extra)
-    if natural == 0.0 or ctl.converged(natural):
-        return ctl, natural, "converged"
-    return ctl, natural, "run"
+def _reduced(nat2: float, gamma: float, eta: float):
+    """|r_new|^2 = |r|^2 - gamma^2/eta, or None once the identity fails."""
+    nat2_new = nat2 - gamma * gamma / eta
+    return nat2_new if nat2_new >= 0.0 and math.isfinite(nat2_new) else None
 
 
 def _gcr(cfg, A, B, b, x0, rec):
-    x = x0.copy()
-    r = b - A.apply(x)
-    ctl, natural, status = _initial_row(rec, cfg, x, r, {})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    nat2 = natural * natural
+    win = DirectionWindow(cfg, 3)
+    r = nat2 = None
 
-    P: list[np.ndarray] = []
-    S: list[np.ndarray] = []
-    H: list[float] = []
-    jdir = 0
-    i = 0
-    while i < cfg.max_it:
-        i += 1
+    def refill(x):
+        nonlocal r, nat2
+        r = b - A.apply(x)
+        natural = norm2(r)
+        nat2 = natural * natural
+        win.clear()
+        return natural, True, {"r": r}
+
+    def step(x):
+        nonlocal r, nat2
         u = B.apply(r)
         w = A.apply(u)
-        nu = _window(jdir, cfg, len(P))
-        Pw, Sw, Hw = P[len(P) - nu:], S[len(S) - nu:], H[len(H) - nu:]
-        betas = [-dot(w, sk) / hk for sk, hk in zip(Sw, Hw)]  # blocking phase 1
-        p = maxpy(u, betas, Pw)
+        betas = win.betas(w)                    # blocking phase 1
+        p = win.combine(betas, u)[0]
         s = A.apply(p)
         gamma = dot(r, s)
         eta = dot(s, s)                         # blocking phase 2
-        if _positive(eta):
-            alpha = gamma / eta
-            x = x + alpha * p
-            r = r - alpha * s
-            nat2_new = nat2 - gamma * gamma / eta
-            if nat2_new >= 0.0 and math.isfinite(nat2_new):
-                nat2 = nat2_new
-                natural = math.sqrt(nat2)
-                P.append(p)
-                S.append(s)
-                H.append(eta)
-                _trim((P, S, H), cfg.numax)
-                jdir += 1
-                rec.log(i, x, natural, nu, 2, 0, NO_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u)
-                rec.observe("direction", i, p=p, s=s, eta=eta)
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r = b - A.apply(x)
-        natural = norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            # the refill uncovered convergence, not a failed recovery
-            rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True)
-            rec.observe("state", i, x=x, r=r)
-            return x, True, i, ctl.converged_reason
-        recover = ctl.allow_restart()
-        rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True, restarted=recover)
-        rec.observe("state", i, x=x, r=r)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        nat2 = natural * natural
-        P.clear()
-        S.clear()
-        H.clear()
-        jdir = 0
-    return x, False, i, "max_it"
+        if not positive(eta):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        nat2_new = _reduced(nat2, gamma, eta)
+        if nat2_new is None:
+            return x, None
+        nat2 = nat2_new
+        win.push(p, s, eta)
+        return x, accepted_row(nat2, len(betas), r, u, p, s, eta)
+
+    return Driver(cfg, rec, 2, 0, NO_TAGS).run(x0.copy(), refill, step)
 
 
 def _pcr(cfg, A, B, b, x0, rec):
-    x = x0.copy()
-    r = b - A.apply(x)
-    ctl, natural, status = _initial_row(rec, cfg, x, r, {})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    nat2 = natural * natural
+    r = p = s = nat2 = gamma_prev = fresh = None
 
-    p = np.zeros_like(b)
-    s = np.zeros_like(b)
-    gamma_prev = 0.0
-    fresh = True
-    i = 0
-    while i < cfg.max_it:
-        i += 1
+    def refill(x):
+        nonlocal r, p, s, nat2, fresh
+        r = b - A.apply(x)
+        natural = norm2(r)
+        nat2 = natural * natural
+        p, s = np.zeros_like(b), np.zeros_like(b)
+        fresh = True
+        return natural, True, {"r": r}
+
+    def step(x):
+        nonlocal r, p, s, nat2, gamma_prev, fresh
         u = B.apply(r)
         w = A.apply(u)
         gamma = dot(r, w)                       # blocking phase 1
-        usable = math.isfinite(gamma) and gamma != 0.0
-        if usable:
-            beta = 0.0 if fresh else gamma / gamma_prev
-            p = u + beta * p
-            s = w + beta * s
-            eta = dot(s, s)                     # blocking phase 2
-            if _positive(eta):
-                alpha = gamma / eta
-                x = x + alpha * p
-                r = r - alpha * s
-                nat2_new = nat2 - gamma * gamma / eta
-                if nat2_new >= 0.0 and math.isfinite(nat2_new):
-                    nat2 = nat2_new
-                    natural = math.sqrt(nat2)
-                    gamma_prev = gamma
-                    rec.log(i, x, natural, 0 if fresh else 1, 2, 0, NO_TAGS)
-                    rec.observe("state", i, x=x, r=r, u=u)
-                    rec.observe("direction", i, p=p, s=s, eta=eta)
-                    fresh = False
-                    if ctl.converged(natural):
-                        return x, True, i, ctl.converged_reason
-                    stag = ctl.note(natural)
-                    if stag:
-                        return x, False, i, stag
-                    continue
+        if not (math.isfinite(gamma) and gamma != 0.0):
+            return x, None
+        beta = 0.0 if fresh else gamma / gamma_prev
+        p = u + beta * p
+        s = w + beta * s
+        eta = dot(s, s)                         # blocking phase 2
+        if not positive(eta):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        nat2_new = _reduced(nat2, gamma, eta)
+        if nat2_new is None:
+            return x, None
+        nat2 = nat2_new
+        gamma_prev = gamma
+        nu, fresh = 0 if fresh else 1, False
+        return x, accepted_row(nat2, nu, r, u, p, s, eta)
+
+    return Driver(cfg, rec, 2, 0, NO_TAGS).run(x0.copy(), refill, step)
+
+
+def _pipegcr(cfg, A, B, b, x0, rec, recur_w):
+    win = DirectionWindow(cfg, 5 if recur_w else 4)
+    r = ut = w = nat2 = None
+
+    def refill(x):
+        nonlocal r, ut, w, nat2
         r = b - A.apply(x)
-        natural = norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            # the refill uncovered convergence, not a failed recovery
-            rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True)
-            rec.observe("state", i, x=x, r=r)
-            return x, True, i, ctl.converged_reason
-        recover = ctl.allow_restart()
-        rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True, restarted=recover)
-        rec.observe("state", i, x=x, r=r)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        nat2 = natural * natural
-        p = np.zeros_like(b)
-        s = np.zeros_like(b)
-        fresh = True
-    return x, False, i, "max_it"
-
-
-def _pipegcr(cfg, A, B, b, x0, rec):
-    x = x0.copy()
-    blocking = 1 if cfg.theta_mode == "exact" else 0
-
-    def refill(xc):
-        r = b - A.apply(xc)
         ut = B.apply(r)
         w = A.apply(ut)
-        return r, ut, w
+        natural = norm2(r)
+        nat2 = natural * natural
+        win.clear()
+        return natural, True, {"r": r, "u": ut}
 
-    r, ut, w = refill(x)
-    ctl, natural, status = _initial_row(rec, cfg, x, r, {"u": ut})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    nat2 = natural * natural
-
-    P: list[np.ndarray] = []
-    S: list[np.ndarray] = []
-    Q: list[np.ndarray] = []
-    H: list[float] = []
-    jdir = 0
-    i = 0
-    while i < cfg.max_it:
-        i += 1
-        nu = _window(jdir, cfg, len(P))
-        Pw = P[len(P) - nu:]
-        Sw = S[len(S) - nu:]
-        Qw = Q[len(Q) - nu:]
-        Hw = H[len(H) - nu:]
+    def step(x):
+        nonlocal r, ut, w, nat2
         gamma = dot(r, w)
         delta = dot(w, w)
-        betas = [-dot(w, sk) / hk for sk, hk in zip(Sw, Hw)]  # overlappable phase
+        betas = win.betas(w)                    # overlappable phase
         m, _ = stabilized_m_update(B, ut, w, r, cfg.theta_mode)
         if m is None:
-            rec.log(i, x, 0.0, nu, blocking, 1, PIPEGCR_TAGS)
-            rec.observe("state", i, x=x, r=r, u=ut)
-            return x, True, i, ctl.converged_reason
-        p = maxpy(ut, betas, Pw)
-        s = maxpy(w, betas, Sw)
-        q = maxpy(m, betas, Qw)
-        eta = delta - sum(bk * bk * hk for bk, hk in zip(betas, Hw))
-        if _positive(eta):
-            alpha = gamma / eta
-            x = x + alpha * p
-            r = r - alpha * s
-            ut = ut - alpha * q
-            nat2_new = nat2 - gamma * gamma / eta
-            if nat2_new >= 0.0 and math.isfinite(nat2_new):
-                nat2 = nat2_new
-                natural = math.sqrt(nat2)
-                w = A.apply(ut)                 # blocking operator application
-                P.append(p)
-                S.append(s)
-                Q.append(q)
-                H.append(eta)
-                _trim((P, S, Q, H), cfg.numax)
-                jdir += 1
-                rec.log(i, x, natural, nu, blocking, 1, PIPEGCR_TAGS)
-                rec.observe("state", i, x=x, r=r, u=ut)
-                rec.observe("direction", i, p=p, s=s, eta=eta)
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r, ut, w = refill(x)
-        natural = norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            rec.log(i, x, natural, 0, blocking + 1, 1, PIPEGCR_TAGS,
-                    breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=ut)
-            return x, True, i, ctl.converged_reason
-        recover = ctl.allow_restart()
-        rec.log(
-            i, x, natural, 0, blocking + 1, 1, PIPEGCR_TAGS,
-            breakdown=True, restarted=recover,
-        )
-        rec.observe("state", i, x=x, r=r, u=ut)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        nat2 = natural * natural
-        P.clear()
-        S.clear()
-        Q.clear()
-        H.clear()
-        jdir = 0
-    return x, False, i, "max_it"
+            return x, (0.0, len(betas), {"r": r, "u": ut})
+        heads = (ut, w, m, A.apply(m)) if recur_w else (ut, w, m)
+        dirs = win.combine(betas, *heads)
+        p, s, q = dirs[:3]
+        eta = delta - win.energy(betas)
+        if not positive(eta):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        ut = ut - alpha * q
+        nat2_new = _reduced(nat2, gamma, eta)
+        if nat2_new is None:
+            return x, None
+        nat2 = nat2_new
+        # pipegcr_w recurs the operator image; pipegcr applies the operator,
+        # the one application its reduction does not overlap
+        w = w - alpha * dirs[3] if recur_w else A.apply(ut)
+        win.push(*dirs, eta)
+        return x, accepted_row(nat2, len(betas), r, ut, p, s, eta)
 
-
-def _pipegcr_w(cfg, A, B, b, x0, rec):
-    x = x0.copy()
     blocking = 1 if cfg.theta_mode == "exact" else 0
+    tags = PIPEGCR_W_TAGS if recur_w else PIPEGCR_TAGS
+    return Driver(cfg, rec, blocking, 1, tags).run(x0.copy(), refill, step)
 
-    def refill(xc):
-        r = b - A.apply(xc)
-        ut = B.apply(r)
-        w = A.apply(ut)
-        return r, ut, w
 
-    r, ut, w = refill(x)
-    ctl, natural, status = _initial_row(rec, cfg, x, r, {"u": ut})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    nat2 = natural * natural
-
-    P: list[np.ndarray] = []
-    S: list[np.ndarray] = []
-    Q: list[np.ndarray] = []
-    Z: list[np.ndarray] = []
-    H: list[float] = []
-    jdir = 0
-    i = 0
-    while i < cfg.max_it:
-        i += 1
-        nu = _window(jdir, cfg, len(P))
-        Pw = P[len(P) - nu:]
-        Sw = S[len(S) - nu:]
-        Qw = Q[len(Q) - nu:]
-        Zw = Z[len(Z) - nu:]
-        Hw = H[len(H) - nu:]
-        gamma = dot(r, w)
-        delta = dot(w, w)
-        betas = [-dot(w, sk) / hk for sk, hk in zip(Sw, Hw)]  # overlappable phase
-        m, _ = stabilized_m_update(B, ut, w, r, cfg.theta_mode)
-        if m is None:
-            rec.log(i, x, 0.0, nu, blocking, 1, PIPEGCR_W_TAGS)
-            rec.observe("state", i, x=x, r=r, u=ut)
-            return x, True, i, ctl.converged_reason
-        n = A.apply(m)
-        p = maxpy(ut, betas, Pw)
-        s = maxpy(w, betas, Sw)
-        q = maxpy(m, betas, Qw)
-        z = maxpy(n, betas, Zw)
-        eta = delta - sum(bk * bk * hk for bk, hk in zip(betas, Hw))
-        if _positive(eta):
-            alpha = gamma / eta
-            x = x + alpha * p
-            r = r - alpha * s
-            ut = ut - alpha * q
-            w = w - alpha * z
-            nat2_new = nat2 - gamma * gamma / eta
-            if nat2_new >= 0.0 and math.isfinite(nat2_new):
-                nat2 = nat2_new
-                natural = math.sqrt(nat2)
-                P.append(p)
-                S.append(s)
-                Q.append(q)
-                Z.append(z)
-                H.append(eta)
-                _trim((P, S, Q, Z, H), cfg.numax)
-                jdir += 1
-                rec.log(i, x, natural, nu, blocking, 1, PIPEGCR_W_TAGS)
-                rec.observe("state", i, x=x, r=r, u=ut)
-                rec.observe("direction", i, p=p, s=s, eta=eta)
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r, ut, w = refill(x)
-        natural = norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            rec.log(i, x, natural, 0, blocking + 1, 1, PIPEGCR_W_TAGS,
-                    breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=ut)
-            return x, True, i, ctl.converged_reason
-        recover = ctl.allow_restart()
-        rec.log(
-            i, x, natural, 0, blocking + 1, 1, PIPEGCR_W_TAGS,
-            breakdown=True, restarted=recover,
-        )
-        rec.observe("state", i, x=x, r=r, u=ut)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        nat2 = natural * natural
-        P.clear()
-        S.clear()
-        Q.clear()
-        Z.clear()
-        H.clear()
-        jdir = 0
-    return x, False, i, "max_it"
+DRIVERS = {
+    "gcr": _gcr,
+    "pcr": _pcr,
+    "pipegcr": partial(_pipegcr, recur_w=False),
+    "pipegcr_w": partial(_pipegcr, recur_w=True),
+}

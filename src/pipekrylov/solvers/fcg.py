@@ -24,315 +24,138 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..linalg import dot, maxpy, norm2
+from ..linalg import dot
 from .common import (
-    RunControl,
-    SolverConfig,
-    TraceRecorder,
+    NO_TAGS,
+    UNRECOVERABLE,
+    DirectionWindow,
+    Driver,
+    accepted_row,
+    natural_norm,
+    positive,
     stabilized_m_update,
-    truncation_window,
 )
 
-NO_TAGS = frozenset()
 PIPEFCG_TAGS = frozenset({"pc", "spmv", "local"})
 
 
-def _positive(value: float) -> bool:
-    return value > 0.0 and math.isfinite(value)
-
-
-def run(cfg: SolverConfig, A, B, b, x0, rec: TraceRecorder):
-    if cfg.method == "fcg":
-        return _fcg(cfg, A, B, b, x0, rec)
-    if cfg.method == "cgfcg":
-        return _cgfcg(cfg, A, B, b, x0, rec)
-    if cfg.method == "pipefcg_naive":
-        return _pipefcg_naive(cfg, A, B, b, x0, rec)
-    return _pipefcg(cfg, A, B, b, x0, rec, cfg.theta_mode)
-
-
-def _window(jdir: int, cfg: SolverConfig, available: int) -> int:
-    if jdir == 0:
-        return 0
-    return min(truncation_window(jdir, cfg.numax, cfg.truncation), available)
-
-
-def _trim(histories, numax: int) -> None:
-    while len(histories[0]) > numax:
-        for h in histories:
-            del h[0]
-
-
-def _initial_row(rec, cfg, x, r, gamma, extra):
-    ok = _positive(gamma)
-    natural = math.sqrt(gamma) if ok else norm2(r)
-    ctl = RunControl(cfg, natural)
-    rec.log(0, x, natural, 0, 0, 0, NO_TAGS, breakdown=not ok and natural > 0.0)
-    rec.observe("state", 0, x=x, r=r, **extra)
-    if natural == 0.0 or ctl.converged(natural):
-        return ctl, "converged"
-    if not ok:
-        return ctl, "unrecoverable"
-    return ctl, "run"
-
-
 def _fcg(cfg, A, B, b, x0, rec):
-    x = x0.copy()
+    win = DirectionWindow(cfg, 3)
+    r = u = gamma = None
 
-    def refill(xc):
-        r = b - A.apply(xc)
+    def refill(x):
+        nonlocal r, u, gamma
+        r = b - A.apply(x)
         u = B.apply(r)
-        return r, u, dot(u, r)
+        gamma = dot(u, r)
+        win.clear()
+        return natural_norm(gamma, r), positive(gamma), {"r": r, "u": u}
 
-    r, u, gamma = refill(x)
-    ctl, status = _initial_row(rec, cfg, x, r, gamma, {"u": u})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    if status == "unrecoverable":
-        return x, False, 0, "breakdown_unrecoverable"
-
-    P: list[np.ndarray] = []
-    S: list[np.ndarray] = []
-    H: list[float] = []
-    jdir = 0
-    i = 0
-    while i < cfg.max_it:
-        i += 1
-        nu = _window(jdir, cfg, len(P))
-        Pw, Sw, Hw = P[len(P) - nu:], S[len(S) - nu:], H[len(H) - nu:]
-        betas = [-dot(u, sk) / hk for sk, hk in zip(Sw, Hw)]
-        p = maxpy(u, betas, Pw)
+    def step(x):
+        nonlocal r, u, gamma
+        betas = win.betas(u)
+        p = win.combine(betas, u)[0]
         s = A.apply(p)
         eta = dot(p, s)                         # blocking phase 1
-        if _positive(eta):
-            alpha = gamma / eta
-            x = x + alpha * p
-            r = r - alpha * s
-            P.append(p)
-            S.append(s)
-            H.append(eta)
-            _trim((P, S, H), cfg.numax)
-            jdir += 1
-            u = B.apply(r)
-            gamma = dot(u, r)                   # blocking phase 2
-            if _positive(gamma):
-                natural = math.sqrt(gamma)
-                rec.log(i, x, natural, nu, 2, 0, NO_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u)
-                rec.observe("direction", i, p=p, s=s, eta=eta)
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r, u, gamma = refill(x)
-        ok = _positive(gamma)
-        natural = math.sqrt(gamma) if ok else norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            # the refill uncovered convergence, not a failed recovery
-            rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=u)
-            return x, True, i, ctl.converged_reason
-        recover = ok and ctl.allow_restart()
-        rec.log(i, x, natural, 0, 3, 0, NO_TAGS, breakdown=True, restarted=recover)
-        rec.observe("state", i, x=x, r=r, u=u)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        P.clear()
-        S.clear()
-        H.clear()
-        jdir = 0
-    return x, False, i, "max_it"
+        if not positive(eta):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        win.push(p, s, eta)
+        u = B.apply(r)
+        gamma = dot(u, r)                       # blocking phase 2
+        if not positive(gamma):
+            return x, None
+        return x, accepted_row(gamma, len(betas), r, u, p, s, eta)
+
+    return Driver(cfg, rec, 2, 0, NO_TAGS).run(x0.copy(), refill, step)
 
 
 def _cgfcg(cfg, A, B, b, x0, rec):
-    x = x0.copy()
+    win = DirectionWindow(cfg, 3)
+    r = u = w = gamma = delta = None
 
-    def refill(xc):
-        r = b - A.apply(xc)
-        u = B.apply(r)
-        w = A.apply(u)
-        return r, u, w, dot(u, r), dot(u, w)
-
-    r, u, w, gamma, delta = refill(x)
-    ctl, status = _initial_row(rec, cfg, x, r, gamma, {"u": u})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    if status == "unrecoverable":
-        return x, False, 0, "breakdown_unrecoverable"
-
-    P: list[np.ndarray] = []
-    S: list[np.ndarray] = []
-    H: list[float] = []
-    jdir = 0
-    i = 0
-    while i < cfg.max_it:
-        i += 1
-        nu = _window(jdir, cfg, len(P))
-        Pw, Sw, Hw = P[len(P) - nu:], S[len(S) - nu:], H[len(H) - nu:]
-        betas = [-dot(u, sk) / hk for sk, hk in zip(Sw, Hw)]
-        p = maxpy(u, betas, Pw)
-        s = maxpy(w, betas, Sw)
-        eta = delta - sum(bk * bk * hk for bk, hk in zip(betas, Hw))
-        if _positive(eta):
-            alpha = gamma / eta
-            x = x + alpha * p
-            r = r - alpha * s
-            P.append(p)
-            S.append(s)
-            H.append(eta)
-            _trim((P, S, H), cfg.numax)
-            jdir += 1
-            u = B.apply(r)
-            w = A.apply(u)
-            gamma = dot(u, r)
-            delta = dot(u, w)                   # one batched blocking phase
-            if _positive(gamma):
-                natural = math.sqrt(gamma)
-                rec.log(i, x, natural, nu, 1, 0, NO_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u)
-                rec.observe("direction", i, p=p, s=s, eta=eta)
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r, u, w, gamma, delta = refill(x)
-        ok = _positive(gamma)
-        natural = math.sqrt(gamma) if ok else norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            rec.log(i, x, natural, 0, 2, 0, NO_TAGS, breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=u)
-            return x, True, i, ctl.converged_reason
-        recover = ok and ctl.allow_restart()
-        rec.log(i, x, natural, 0, 2, 0, NO_TAGS, breakdown=True, restarted=recover)
-        rec.observe("state", i, x=x, r=r, u=u)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        P.clear()
-        S.clear()
-        H.clear()
-        jdir = 0
-    return x, False, i, "max_it"
-
-
-def _pipefcg(cfg, A, B, b, x0, rec, mode):
-    x = x0.copy()
-    blocking = 1 if mode == "exact" else 0
-
-    def refill(xc):
-        r = b - A.apply(xc)
+    def refill(x):
+        nonlocal r, u, w, gamma, delta
+        r = b - A.apply(x)
         u = B.apply(r)
         w = A.apply(u)
         gamma = dot(u, r)
         delta = dot(u, w)
-        m = B.apply(w)
+        win.clear()
+        return natural_norm(gamma, r), positive(gamma), {"r": r, "u": u}
+
+    def step(x):
+        nonlocal r, u, w, gamma, delta
+        betas = win.betas(u)
+        p, s = win.combine(betas, u, w)
+        eta = delta - win.energy(betas)
+        if not positive(eta):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        win.push(p, s, eta)
+        u = B.apply(r)
+        w = A.apply(u)
+        gamma = dot(u, r)
+        delta = dot(u, w)                       # one batched blocking phase
+        if not positive(gamma):
+            return x, None
+        return x, accepted_row(gamma, len(betas), r, u, p, s, eta)
+
+    return Driver(cfg, rec, 1, 0, NO_TAGS).run(x0.copy(), refill, step)
+
+
+def _pipefcg_state(A, B, b, x):
+    """Residual, preconditioned pair and their images, from the iterate."""
+    r = b - A.apply(x)
+    u = B.apply(r)
+    w = A.apply(u)
+    gamma = dot(u, r)
+    delta = dot(u, w)
+    m = B.apply(w)
+    n = A.apply(m)
+    return r, u, w, m, n, gamma, delta
+
+
+def _pipefcg(cfg, A, B, b, x0, rec):
+    win = DirectionWindow(cfg, 5)
+    r = u = w = m = n = gamma = delta = None
+
+    def refill(x):
+        nonlocal r, u, w, m, n, gamma, delta
+        r, u, w, m, n, gamma, delta = _pipefcg_state(A, B, b, x)
+        win.clear()
+        return natural_norm(gamma, r), positive(gamma), {"r": r, "u": u}
+
+    def step(x):
+        nonlocal r, u, w, m, n, gamma, delta
+        betas = win.betas(u)
+        p, s, q, z = win.combine(betas, u, w, m, n)
+        eta = delta - win.energy(betas)
+        if not positive(eta):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        u = u - alpha * q
+        w = w - alpha * z
+        win.push(p, s, q, z, eta)
+        gamma = dot(u, r)
+        delta = dot(u, w)                       # overlappable phase, hidden by:
+        m, _ = stabilized_m_update(B, u, w, r, cfg.theta_mode)
+        if m is None:
+            # exact weighting undefined because the residual vanished
+            return x, (0.0, len(betas), {"r": r, "u": u})
         n = A.apply(m)
-        return r, u, w, m, n, gamma, delta
+        if not positive(gamma):
+            return x, None
+        return x, accepted_row(gamma, len(betas), r, u, p, s, eta)
 
-    r, u, w, m, n, gamma, delta = refill(x)
-    ctl, status = _initial_row(rec, cfg, x, r, gamma, {"u": u})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    if status == "unrecoverable":
-        return x, False, 0, "breakdown_unrecoverable"
-
-    P: list[np.ndarray] = []
-    S: list[np.ndarray] = []
-    Q: list[np.ndarray] = []
-    Z: list[np.ndarray] = []
-    H: list[float] = []
-    jdir = 0
-    i = 0
-    while i < cfg.max_it:
-        i += 1
-        nu = _window(jdir, cfg, len(P))
-        Pw = P[len(P) - nu:]
-        Sw = S[len(S) - nu:]
-        Qw = Q[len(Q) - nu:]
-        Zw = Z[len(Z) - nu:]
-        Hw = H[len(H) - nu:]
-        betas = [-dot(u, sk) / hk for sk, hk in zip(Sw, Hw)]
-        p = maxpy(u, betas, Pw)
-        s = maxpy(w, betas, Sw)
-        q = maxpy(m, betas, Qw)
-        z = maxpy(n, betas, Zw)
-        eta = delta - sum(bk * bk * hk for bk, hk in zip(betas, Hw))
-        if _positive(eta):
-            alpha = gamma / eta
-            x = x + alpha * p
-            r = r - alpha * s
-            u = u - alpha * q
-            w = w - alpha * z
-            P.append(p)
-            S.append(s)
-            Q.append(q)
-            Z.append(z)
-            H.append(eta)
-            _trim((P, S, Q, Z, H), cfg.numax)
-            jdir += 1
-            gamma = dot(u, r)
-            delta = dot(u, w)                   # overlappable phase, hidden by:
-            m, _ = stabilized_m_update(B, u, w, r, mode)
-            if m is None:
-                # exact weighting undefined because the residual vanished
-                rec.log(i, x, 0.0, nu, blocking, 1, PIPEFCG_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u)
-                return x, True, i, ctl.converged_reason
-            n = A.apply(m)
-            if _positive(gamma):
-                natural = math.sqrt(gamma)
-                rec.log(i, x, natural, nu, blocking, 1, PIPEFCG_TAGS)
-                rec.observe("state", i, x=x, r=r, u=u)
-                rec.observe("direction", i, p=p, s=s, eta=eta)
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
-                continue
-        r, u, w, m, n, gamma, delta = refill(x)
-        ok = _positive(gamma)
-        natural = math.sqrt(gamma) if ok else norm2(r)
-        if not math.isfinite(natural):
-            return x, False, i, "breakdown_unrecoverable"
-        if ctl.converged(natural):
-            rec.log(i, x, natural, 0, blocking + 1, 1, PIPEFCG_TAGS,
-                    breakdown=True)
-            rec.observe("state", i, x=x, r=r, u=u)
-            return x, True, i, ctl.converged_reason
-        recover = ok and ctl.allow_restart()
-        rec.log(
-            i, x, natural, 0, blocking + 1, 1, PIPEFCG_TAGS,
-            breakdown=True, restarted=recover,
-        )
-        rec.observe("state", i, x=x, r=r, u=u)
-        if not recover:
-            return x, False, i, "breakdown_unrecoverable"
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
-        P.clear()
-        S.clear()
-        Q.clear()
-        Z.clear()
-        H.clear()
-        jdir = 0
-    return x, False, i, "max_it"
+    blocking = 1 if cfg.theta_mode == "exact" else 0
+    return Driver(cfg, rec, blocking, 1, PIPEFCG_TAGS).run(x0.copy(), refill, step)
 
 
 def _pipefcg_naive(cfg, A, B, b, x0, rec):
@@ -347,81 +170,46 @@ def _pipefcg_naive(cfg, A, B, b, x0, rec):
     preconditioner's noise level.
     """
     x = x0.copy()
-
-    r = b - A.apply(x)
-    u = B.apply(r)
-    w = A.apply(u)
-    gamma = dot(u, r)
-    delta = dot(u, w)
-    m = B.apply(w)
-    n = A.apply(m)
-
-    ctl, status = _initial_row(rec, cfg, x, r, gamma, {"u": u})
-    if status == "converged":
-        return x, True, 0, ctl.converged_reason
-    if status == "unrecoverable":
-        return x, False, 0, "breakdown_unrecoverable"
-
-    P: list[np.ndarray] = []
-    S: list[np.ndarray] = []
-    Q: list[np.ndarray] = []
-    Z: list[np.ndarray] = []
-    H: list[float] = []
-    jdir = 0
+    r, u, w, m, n, gamma, delta = _pipefcg_state(A, B, b, x)
+    drv = Driver(cfg, rec, 0, 1, PIPEFCG_TAGS)
+    done = drv.start(x, natural_norm(gamma, r), positive(gamma), {"r": r, "u": u})
+    win = DirectionWindow(cfg, 5)
     i = 0
-    while i < cfg.max_it:
+    while done is None and i < cfg.max_it:
         i += 1
-        nu = _window(jdir, cfg, len(P))
-        Pw = P[len(P) - nu:]
-        Sw = S[len(S) - nu:]
-        Qw = Q[len(Q) - nu:]
-        Zw = Z[len(Z) - nu:]
-        Hw = H[len(H) - nu:]
-        betas = [-dot(u, sk) / hk for sk, hk in zip(Sw, Hw)]
-        p = maxpy(u, betas, Pw)
-        s = maxpy(w, betas, Sw)
-        q = maxpy(m, betas, Qw)
-        z = maxpy(n, betas, Zw)
-        eta = delta - sum(bk * bk * hk for bk, hk in zip(betas, Hw))
-        if eta == 0.0 or not math.isfinite(eta):
-            if not math.isfinite(eta):
-                return x, False, i, "breakdown_unrecoverable"
-            natural = math.sqrt(abs(gamma))
-            rec.log(i, x, natural, nu, 0, 1, PIPEFCG_TAGS,
+        betas = win.betas(u)
+        p, s, q, z = win.combine(betas, u, w, m, n)
+        eta = delta - win.energy(betas)
+        if not math.isfinite(eta):
+            return x, False, i, UNRECOVERABLE
+        if eta == 0.0:
+            rec.log(i, x, math.sqrt(abs(gamma)), len(betas), 0, 1, PIPEFCG_TAGS,
                     breakdown=True, restarted=True)
-            P.clear(), S.clear(), Q.clear(), Z.clear(), H.clear()
-            jdir = 0
+            win.clear()
             continue
         alpha = gamma / eta
         x = x + alpha * p
         r = r - alpha * s
         u = u - alpha * q
         w = w - alpha * z
-        P.append(p)
-        S.append(s)
-        Q.append(q)
-        Z.append(z)
-        H.append(eta)
-        _trim((P, S, Q, Z, H), cfg.numax)
-        jdir += 1
+        win.push(p, s, q, z, eta)
         gamma = dot(u, r)
         delta = dot(u, w)                       # overlappable phase, hidden by:
         m = B.apply(w)
         n = A.apply(m)
         if not (math.isfinite(gamma) and math.isfinite(delta)):
-            return x, False, i, "breakdown_unrecoverable"
-        natural = math.sqrt(abs(gamma))
+            return x, False, i, UNRECOVERABLE
         flush = gamma <= 0.0 or eta < 0.0
-        rec.log(i, x, natural, nu, 0, 1, PIPEFCG_TAGS,
-                breakdown=flush, restarted=flush)
-        rec.observe("state", i, x=x, r=r, u=u)
-        rec.observe("direction", i, p=p, s=s, eta=eta)
-        if ctl.converged(natural):
-            return x, True, i, ctl.converged_reason
-        stag = ctl.note(natural)
-        if stag:
-            return x, False, i, stag
+        done = drv.accept(i, x, math.sqrt(abs(gamma)), len(betas), {"r": r, "u": u},
+                          {"p": p, "s": s, "eta": eta}, breakdown=flush, restarted=flush)
         if flush:
-            P.clear(), S.clear(), Q.clear(), Z.clear(), H.clear()
-            jdir = 0
-    return x, False, i, "max_it"
+            win.clear()
+    return done or (x, False, i, "max_it")
+
+
+DRIVERS = {
+    "fcg": _fcg,
+    "cgfcg": _cgfcg,
+    "pipefcg_naive": _pipefcg_naive,
+    "pipefcg": _pipefcg,
+}

@@ -20,69 +20,84 @@ images at every iteration so the trace can monitor the true residual.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from ..linalg import dot, maxpy, norm2
-from .common import RunControl, SolverConfig, TraceRecorder
+from .common import NO_TAGS, UNRECOVERABLE, Driver
 
-NO_TAGS = frozenset()
 PIPEFGMRES_TAGS = frozenset({"pc", "spmv"})
 
 
-def run(cfg: SolverConfig, A, B, b, x0, rec: TraceRecorder, sigma: float):
-    if cfg.method == "fgmres":
-        return _fgmres(cfg, A, B, b, x0, rec)
-    if cfg.method == "cgfgmres":
-        return _shifted(cfg, A, B, b, x0, rec, sigma, pipelined=False)
-    return _shifted(cfg, A, B, b, x0, rec, sigma, pipelined=True)
+class _LeastSquares:
+    """The cycle's Hessenberg system in Givens-rotated triangular form."""
+
+    def __init__(self, mlen: int, beta: float):
+        self.R = np.zeros((mlen + 1, mlen))
+        self.g = np.zeros(mlen + 1)
+        self.g[0] = beta
+        self.cs = np.zeros(mlen)
+        self.sn = np.zeros(mlen)
+
+    def rotate(self, col: np.ndarray, k: int) -> float:
+        """Apply the previous rotations to column k; returns the length d
+        that the new rotation folds into the diagonal."""
+        cs, sn = self.cs, self.sn
+        for j in range(k - 1):
+            t = cs[j] * col[j] + sn[j] * col[j + 1]
+            col[j + 1] = -sn[j] * col[j] + cs[j] * col[j + 1]
+            col[j] = t
+        return math.hypot(col[k - 1], col[k])
+
+    def append(self, col: np.ndarray, k: int, d: float) -> float:
+        """Store rotated column k (d > 0); returns the new natural norm."""
+        cs, sn, g = self.cs, self.sn, self.g
+        cs[k - 1] = col[k - 1] / d
+        sn[k - 1] = col[k] / d
+        col[k - 1] = d
+        col[k] = 0.0
+        self.R[: k + 1, k - 1] = col
+        g[k] = -sn[k - 1] * g[k - 1]
+        g[k - 1] = cs[k - 1] * g[k - 1]
+        return abs(g[k])
+
+    def iterate(self, x_cycle: np.ndarray, U: list, k: int) -> np.ndarray:
+        if k == 0:
+            return x_cycle.copy()
+        y = solve_triangular(self.R[:k, :k], self.g[:k], lower=False)
+        return maxpy(x_cycle, [float(yj) for yj in y], U[:k])
 
 
-def _apply_rotations(col: np.ndarray, cs: np.ndarray, sn: np.ndarray, upto: int) -> None:
-    for j in range(upto):
-        t = cs[j] * col[j] + sn[j] * col[j + 1]
-        col[j + 1] = -sn[j] * col[j] + cs[j] * col[j + 1]
-        col[j] = t
-
-
-def _materialize(x_cycle: np.ndarray, U: list, R: np.ndarray, g: np.ndarray, k: int):
-    if k == 0:
-        return x_cycle.copy()
-    y = solve_triangular(R[:k, :k], g[:k], lower=False)
-    return maxpy(x_cycle, [float(yj) for yj in y], U[:k])
+def _new_cycle(drv: Driver, i: int, x, r, beta):
+    """Row 0 for the first cycle.  A later cycle's residual refill is
+    carried by its first row; a refill that is already exact or
+    non-finite ends the run without a row."""
+    if drv.ctl is None:
+        return drv.start(x, beta, True, {"r": r})
+    drv.cycle_restart = True
+    if not math.isfinite(beta):
+        return x, False, i, UNRECOVERABLE
+    if beta == 0.0:
+        return x, True, i, drv.ctl.converged_reason
+    return None
 
 
 def _fgmres(cfg, A, B, b, x0, rec):
+    drv = Driver(cfg, rec, 2, 0, NO_TAGS)
     x = x0.copy()
     mlen = cfg.restart_len
     i = 0
-    ctl = None
-    pending = 0
-    flag_restart = False
     while True:
         r = b - A.apply(x)
         beta = norm2(r)
-        if ctl is None:
-            ctl = RunControl(cfg, beta)
-            rec.log(0, x, beta, 0, 0, 0, NO_TAGS)
-            rec.observe("state", 0, x=x, r=r)
-            if beta == 0.0 or ctl.converged(beta):
-                return x, True, 0, ctl.converged_reason
-        else:
-            pending = 1
-            flag_restart = True
-            if not math.isfinite(beta):
-                return x, False, i, "breakdown_unrecoverable"
-            if beta == 0.0:
-                return x, True, i, ctl.converged_reason
+        done = _new_cycle(drv, i, x, r, beta)
+        if done:
+            return done
         V = [r / beta]
         U: list[np.ndarray] = []
-        R = np.zeros((mlen + 1, mlen))
-        g = np.zeros(mlen + 1)
-        g[0] = beta
-        cs = np.zeros(mlen)
-        sn = np.zeros(mlen)
+        ls = _LeastSquares(mlen, beta)
         x_cycle = x.copy()
         rec.observe("basis", i, v=V[0])
         k = 0
@@ -97,83 +112,46 @@ def _fgmres(cfg, A, B, b, x0, rec):
             hcol = np.array([dot(zu, vj) for vj in V])  # blocking phase 1
             zbar = maxpy(zu, [-float(hj) for hj in hcol], V)
             hsub = norm2(zbar)                          # blocking phase 2
-            col = np.zeros(k + 1)
-            col[:k] = hcol
-            col[k] = hsub
-            _apply_rotations(col, cs, sn, k - 1)
-            d = math.hypot(col[k - 1], col[k])
+            col = np.append(hcol, hsub)
+            d = ls.rotate(col, k)
             if not math.isfinite(d):
-                return x, False, i, "breakdown_unrecoverable"
+                return x, False, i, UNRECOVERABLE
             if d == 0.0:
                 # the new column vanished; finalize this cycle and restart
-                x = _materialize(x_cycle, U, R, g, k - 1)
-                natural = abs(g[k - 1])
-                rec.log(i, x, natural, k, 2 + pending, 0, NO_TAGS, restarted=flag_restart)
-                rec.observe("state", i, x=x)
-                pending = 0
-                flag_restart = False
-                if ctl.converged(natural):
-                    return x, True, i, ctl.converged_reason
-                stag = ctl.note(natural)
-                if stag:
-                    return x, False, i, stag
+                x = ls.iterate(x_cycle, U, k - 1)
+                done = drv.accept(i, x, abs(ls.g[k - 1]), k, {})
                 break
-            cs[k - 1] = col[k - 1] / d
-            sn[k - 1] = col[k] / d
-            col[k - 1] = d
-            col[k] = 0.0
-            R[: k + 1, k - 1] = col
-            g[k] = -sn[k - 1] * g[k - 1]
-            g[k - 1] = cs[k - 1] * g[k - 1]
-            natural = abs(g[k])
-            x = _materialize(x_cycle, U, R, g, k)
-            rec.log(i, x, natural, k, 2 + pending, 0, NO_TAGS, restarted=flag_restart)
-            rec.observe("state", i, x=x)
-            pending = 0
-            flag_restart = False
-            if ctl.converged(natural):
-                return x, True, i, ctl.converged_reason
-            stag = ctl.note(natural)
-            if stag:
-                return x, False, i, stag
-            if hsub == 0.0:
+            natural = ls.append(col, k, d)
+            x = ls.iterate(x_cycle, U, k)
+            done = drv.accept(i, x, natural, k, {})
+            if done or hsub == 0.0:
                 break
             V.append(zbar / hsub)
             rec.observe("basis", i, v=V[-1])
+        if done:
+            return done
 
 
-def _shifted(cfg, A, B, b, x0, rec, sigma, pipelined):
+def _shifted(cfg, A, B, b, x0, rec, pipelined):
+    if pipelined:
+        drv = Driver(cfg, rec, 0, 1, PIPEFGMRES_TAGS)
+    else:
+        drv = Driver(cfg, rec, 1, 0, NO_TAGS)
     x = x0.copy()
     mlen = cfg.restart_len
-    tags = PIPEFGMRES_TAGS if pipelined else NO_TAGS
-    base_blocking = 0 if pipelined else 1
-    base_overlap = 1 if pipelined else 0
+    sigma = cfg.sigma
     i = 0
-    ctl = None
-    pending = 0
-    flag_restart = False
     prefetched = None
     while True:
-        if prefetched is not None:
-            r, beta = prefetched
-            prefetched = None
-        else:
+        if prefetched is None:
             r = b - A.apply(x)
             beta = norm2(r)
-            if ctl is not None:
-                pending = 1
-                flag_restart = True
-        if ctl is None:
-            ctl = RunControl(cfg, beta)
-            rec.log(0, x, beta, 0, 0, 0, NO_TAGS)
-            rec.observe("state", 0, x=x, r=r)
-            if beta == 0.0 or ctl.converged(beta):
-                return x, True, 0, ctl.converged_reason
+            done = _new_cycle(drv, i, x, r, beta)
+            if done:
+                return done
         else:
-            if not math.isfinite(beta):
-                return x, False, i, "breakdown_unrecoverable"
-            if beta == 0.0:
-                return x, True, i, ctl.converged_reason
+            r, beta = prefetched
+            prefetched = None
         V = [r / beta]
         u = B.apply(V[0])
         U = [u]
@@ -183,11 +161,7 @@ def _shifted(cfg, A, B, b, x0, rec, sigma, pipelined):
         if pipelined:
             QB.append(B.apply(ZB[0]))
             WB.append(A.apply(QB[0]))
-        R = np.zeros((mlen + 1, mlen))
-        g = np.zeros(mlen + 1)
-        g[0] = beta
-        cs = np.zeros(mlen)
-        sn = np.zeros(mlen)
+        ls = _LeastSquares(mlen, beta)
         x_cycle = x.copy()
         rec.observe("basis", i, v=V[0])
         k = 0
@@ -204,66 +178,29 @@ def _shifted(cfg, A, B, b, x0, rec, sigma, pipelined):
             d = 0.0
             if not failed:
                 hsub = math.sqrt(t)
-                col = np.zeros(k + 1)
-                col[:k] = hb
+                col = np.append(hb, hsub)
                 col[k - 1] += sigma
-                col[k] = hsub
-                _apply_rotations(col, cs, sn, k - 1)
-                d = math.hypot(col[k - 1], col[k])
+                d = ls.rotate(col, k)
                 if not math.isfinite(d):
-                    return x, False, i, "breakdown_unrecoverable"
+                    return x, False, i, UNRECOVERABLE
             if failed or d == 0.0:
                 # Pythagorean identity lost positivity, or the rotated
                 # column vanished: finalize the subspace solution, refresh
                 # the residual, and restart the cycle.
-                x = _materialize(x_cycle, U, R, g, k - 1)
+                x = ls.iterate(x_cycle, U, k - 1)
                 r = b - A.apply(x)
                 beta = norm2(r)
-                if not math.isfinite(beta):
-                    return x, False, i, "breakdown_unrecoverable"
-                if ctl.converged(beta):
-                    rec.log(
-                        i, x, beta, k, base_blocking + 1 + pending, base_overlap,
-                        tags, breakdown=failed,
-                    )
-                    rec.observe("state", i, x=x, r=r)
-                    return x, True, i, ctl.converged_reason
-                recover = (not failed) or ctl.allow_restart()
-                rec.log(
-                    i, x, beta, k, base_blocking + 1 + pending, base_overlap, tags,
-                    breakdown=failed, restarted=recover,
-                )
-                rec.observe("state", i, x=x, r=r)
-                pending = 0
-                flag_restart = False
-                if not recover:
-                    return x, False, i, "breakdown_unrecoverable"
-                stag = ctl.note(beta)
-                if stag:
-                    return x, False, i, stag
+                done = drv.recover(i, x, beta, True, {"r": r}, nu=k,
+                                   breakdown=failed)
+                if done:
+                    return done
                 prefetched = (r, beta)
                 break
-            cs[k - 1] = col[k - 1] / d
-            sn[k - 1] = col[k] / d
-            col[k - 1] = d
-            col[k] = 0.0
-            R[: k + 1, k - 1] = col
-            g[k] = -sn[k - 1] * g[k - 1]
-            g[k - 1] = cs[k - 1] * g[k - 1]
-            natural = abs(g[k])
-            x = _materialize(x_cycle, U, R, g, k)
-            rec.log(
-                i, x, natural, k, base_blocking + pending, base_overlap, tags,
-                restarted=flag_restart,
-            )
-            rec.observe("state", i, x=x)
-            pending = 0
-            flag_restart = False
-            if ctl.converged(natural):
-                return x, True, i, ctl.converged_reason
-            stag = ctl.note(natural)
-            if stag:
-                return x, False, i, stag
+            natural = ls.append(col, k, d)
+            x = ls.iterate(x_cycle, U, k)
+            done = drv.accept(i, x, natural, k, {})
+            if done:
+                return done
             if hsub == 0.0:
                 break
             if k < mlen:
@@ -283,3 +220,10 @@ def _shifted(cfg, A, B, b, x0, rec, sigma, pipelined):
                     unew = B.apply(v)
                     U.append(unew)
                     ZB.append(A.apply(unew) - sigma * v)
+
+
+DRIVERS = {
+    "fgmres": _fgmres,
+    "cgfgmres": partial(_shifted, pipelined=False),
+    "pipefgmres": partial(_shifted, pipelined=True),
+}

@@ -7,6 +7,7 @@ installed module entry point end to end.
 
 from __future__ import annotations
 
+import io
 import subprocess
 import sys
 
@@ -14,9 +15,16 @@ import numpy as np
 import pytest
 
 from pipekrylov.cli import main
-from pipekrylov.solvers import IterationTrace, SolveResult
+from pipekrylov.preconditioners import JacobiPreconditioner
+from pipekrylov.problems import make_sinker
+from pipekrylov.solvers import IterationTrace, SolveResult, SolverConfig, prescale_operator, solve
 from pipekrylov.cli import _exit_code
-from pipekrylov.traceio import read_compare_csv, read_perfmodel_csv, read_trace_csv
+from pipekrylov.traceio import (
+    read_compare_csv,
+    read_perfmodel_csv,
+    read_trace_csv,
+    write_trace_csv,
+)
 
 
 def _solve_argv(out: str | None = None, **overrides) -> list[str]:
@@ -58,6 +66,20 @@ def test_symmetry_validation_reaches_the_user(capsys):
     code = main(_solve_argv(general="true"))
     assert code != 0
     assert "symmetric" in capsys.readouterr().err
+
+
+def test_solve_prescale_matches_the_library(tmp_path, capsys):
+    out = str(tmp_path / "p.csv")
+    assert main(_solve_argv(out=out, problem="sinker", prescale="true")) == 0
+    capsys.readouterr()
+    prob = make_sinker(8, 100.0)
+    cfg = SolverConfig(method="pcg", rtol=1e-8, max_it=200, prescale=True)
+    res = solve(cfg, prob.A, JacobiPreconditioner(prescale_operator(prob.A)),
+                prob.b, x_true=prob.x_true)
+    expected = io.StringIO()
+    write_trace_csv(expected, res.trace)
+    with open(out) as f:
+        assert f.read() == expected.getvalue()
 
 
 def test_general_flag_without_value(capsys):

@@ -20,8 +20,8 @@ from pipekrylov.preconditioners import (
     JacobiPreconditioner,
     NoisyPreconditioner,
 )
-from pipekrylov.problems import make_identity, make_poisson, make_sinker
-from pipekrylov.solvers import METHODS, SolverConfig, solve
+from pipekrylov.problems import make_identity, make_poisson, make_sinker, make_toy_diagonal
+from pipekrylov.solvers import METHODS, REDUCTION_LEDGER, SolverConfig, solve
 from pipekrylov.traceio import write_trace_csv
 
 from conftest import random_spd
@@ -142,6 +142,59 @@ def test_indefinite_operator_is_an_unrecoverable_breakdown():
     assert not res.converged
     assert res.stop_reason == "breakdown_unrecoverable"
     assert all(np.isfinite(row.rnorm_natural) for row in res.trace)
+
+
+# Indefinite diagonal: with b = ones the initial <w, u> is negative, so
+# the fused CG variants break down before their first step.
+INDEFINITE = SparseOperator.from_dense(
+    np.diag([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.5]), symmetric=True)
+
+
+@pytest.mark.parametrize("method", ["cgcg", "pipecg"])
+def test_nonpositive_initial_delta_flags_row_zero(method):
+    res = _solve(method, INDEFINITE, IdentityPreconditioner(), np.ones(8))
+    assert res.stop_reason == "breakdown_unrecoverable"
+    assert res.iterations == 0
+    assert len(res.trace) == 1 and res.trace[0].breakdown
+
+
+def _breakdown_runs():
+    """Runs that reach a breakdown or restart row in each of the methods."""
+    prob = make_toy_diagonal(100, 5.0)
+    for method in METHODS:
+        cfg = SolverConfig(method=method, rtol=1e-16, max_it=500, numax=100,
+                           restart_len=10, stagnation_window=50)
+        yield method, solve(cfg, prob.A, NoisyPreconditioner(1e-2, seed=7), prob.b)
+    for method, b in (("pcg", np.ones(8)), ("fcg", np.ones(8)),
+                      ("cgcg", np.array([3.0, 1.0] * 4))):
+        yield method, _solve(method, INDEFINITE, IdentityPreconditioner(), b,
+                             max_it=50)
+
+
+def test_flagged_rows_add_one_blocking_refill_phase():
+    reached = set()
+    for method, res in _breakdown_runs():
+        blocking, overlapped, tags = REDUCTION_LEDGER[method]
+        if method != "pipefcg_naive":
+            blocking += 1           # the naive variant flushes without a refill
+        for row in res.trace:
+            if row.iter >= 1 and (row.breakdown or row.restarted):
+                reached.add(method)
+                assert (row.red_blocking, row.red_overlapped) == (blocking, overlapped), \
+                    (method, row.iter)
+                assert row.overlap_tags == tags, method
+    assert reached == set(METHODS)
+
+
+@pytest.mark.parametrize("arg,value", [("b", np.nan), ("x0", np.inf),
+                                       ("x_true", -np.inf)])
+def test_non_finite_input_is_rejected(arg, value, poisson8):
+    vectors = {"b": poisson8.b.copy(), "x0": np.zeros(64),
+               "x_true": poisson8.x_true.copy()}
+    vectors[arg][3] = value
+    with pytest.raises(ValueError, match="NaN or inf"):
+        solve(SolverConfig(method="pcg"), poisson8.A, IdentityPreconditioner(),
+              vectors["b"], x0=vectors["x0"], x_true=vectors["x_true"])
 
 
 def test_stagnation_detection_fires_on_an_unreachable_tolerance(poisson16):

@@ -1,0 +1,111 @@
+"""Print one sha256 digest per (case, method) of everything a solve emits.
+
+Each digest covers the trace CSV bytes, ``x_final.tobytes()``, the stop
+reason and the observer event stream, so two checkouts that print the
+same lines produce byte-identical solver output on these cases.  Run it
+from the repository root on both sides of a change and diff the output:
+
+    PYTHONPATH=src python3 tools/trace_digests.py > digests.txt
+
+The BLAS thread count can change the rounding of large dot products;
+compare runs made with the same ``OPENBLAS_NUM_THREADS``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+
+import numpy as np
+
+from pipekrylov.linalg import SparseOperator
+from pipekrylov.preconditioners import (
+    IdentityPreconditioner,
+    JacobiPreconditioner,
+    NoisyPreconditioner,
+)
+from pipekrylov.problems import make_poisson, make_toy_diagonal
+from pipekrylov.solvers import METHODS, SolverConfig, solve
+from pipekrylov.traceio import write_trace_csv
+
+INDEFINITE = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.5])
+
+
+def _indefinite(b):
+    A = SparseOperator.from_dense(np.diag(INDEFINITE), symmetric=True)
+    return A, IdentityPreconditioner, np.asarray(b, dtype=float), None
+
+
+def _poisson(pc):
+    prob = make_poisson(2, 32, seed=0)
+    return prob.A, lambda: pc(prob.A), prob.b, prob.x_true
+
+
+def _noisy_toy():
+    prob = make_toy_diagonal(100, 5.0)
+    return prob.A, lambda: NoisyPreconditioner(1e-2, seed=7), prob.b, prob.x_true
+
+
+def _noisy_poisson(A):
+    return NoisyPreconditioner(1e-4, seed=3)
+
+
+# name -> (system builder, SolverConfig overrides)
+CASES = {
+    "poisson2d-jacobi": (lambda: _poisson(JacobiPreconditioner), {}),
+    "noisy-toy": (_noisy_toy, dict(rtol=1e-16, max_it=500, numax=100,
+                                   restart_len=10, stagnation_window=50)),
+    "indefinite-ones": (lambda: _indefinite(np.ones(8)), dict(max_it=50)),
+    "indefinite-3131": (lambda: _indefinite([3.0, 1.0] * 4), dict(max_it=50)),
+    "theta-zero": (lambda: _poisson(_noisy_poisson), dict(theta_mode="zero")),
+    "theta-one": (lambda: _poisson(_noisy_poisson), dict(theta_mode="one")),
+    "theta-exact": (lambda: _poisson(_noisy_poisson), dict(theta_mode="exact")),
+    "truncation-standard": (lambda: _poisson(JacobiPreconditioner),
+                            dict(truncation="standard", numax=5)),
+    "restart-10": (lambda: _poisson(JacobiPreconditioner), dict(restart_len=10)),
+    "sigma-auto-5": (lambda: _poisson(JacobiPreconditioner),
+                     dict(sigma_auto_power=5)),
+    # the identity preconditioner does not depend on the scaled operator
+    "prescale": (lambda: _poisson(lambda A: IdentityPreconditioner()),
+                 dict(prescale=True)),
+    "atol": (lambda: _poisson(JacobiPreconditioner), dict(atol=1e-3, rtol=1e-12)),
+    "stagnation": (lambda: _poisson(JacobiPreconditioner),
+                   dict(rtol=1e-30, stagnation_window=30, max_it=600)),
+}
+
+
+def _update_with_event(h, event, i, payload) -> None:
+    h.update(f"{event}:{i}".encode())
+    for key in sorted(payload):
+        value = payload[key]
+        h.update(key.encode())
+        h.update(value.tobytes() if isinstance(value, np.ndarray)
+                 else repr(value).encode())
+
+
+def digest(case: str, method: str) -> tuple[str, int, str]:
+    build, overrides = CASES[case]
+    A, make_pc, b, x_true = build()
+    kwargs = dict(max_it=400)
+    kwargs.update(overrides)
+    h = hashlib.sha256()
+    res = solve(SolverConfig(method=method, **kwargs), A, make_pc(), b,
+                x_true=x_true, seed=0,
+                observer=lambda e, i, p: _update_with_event(h, e, i, p))
+    buf = io.StringIO()
+    write_trace_csv(buf, res.trace)
+    h.update(buf.getvalue().encode())
+    h.update(res.x_final.tobytes())
+    h.update(res.stop_reason.encode())
+    return h.hexdigest(), res.iterations, res.stop_reason
+
+
+def main() -> None:
+    for case in CASES:
+        for method in METHODS:
+            sha, iters, reason = digest(case, method)
+            print(f"{case} {method} {iters} {reason} {sha}")
+
+
+if __name__ == "__main__":
+    main()
