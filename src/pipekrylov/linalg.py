@@ -1,8 +1,12 @@
 """Dense vector kernels and the sparse operator type used by every solver.
 
-Vectors are one-dimensional float64 numpy arrays throughout.  All kernels
-use a fixed, argument-order-independent accumulation so that repeated runs
-on the same machine are bitwise reproducible.
+Vectors are one-dimensional float64 numpy arrays throughout.  Every
+kernel's accumulation order is independent of the argument order, and
+repeated runs on the same machine with the same BLAS thread count are
+bitwise reproducible.  ``dot`` and ``norm2`` use the BLAS, whose threaded
+sum splits the vector by thread: a different thread count rounds large
+products differently (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and
+``2`` already disagree).
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product sum_k a_k*b_k with a fixed accumulation order.
+    """Inner product sum_k a_k*b_k.
 
     The accumulation order does not depend on the argument order, so
-    dot(a, b) == dot(b, a) exactly.
+    dot(a, b) == dot(b, a) exactly; it does depend on the BLAS thread
+    count.
     """
     _check_same_length(a, b)
     return float(np.dot(a, b))
@@ -92,10 +97,13 @@ class SparseOperator:
             raise ValueError("indices/data length mismatch")
         if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
             raise ValueError("column index out of range")
-        for row in range(n_rows):
-            cols = indices[indptr[row]:indptr[row + 1]]
-            if cols.size > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"columns not strictly increasing in row {row}")
+        # compare each entry with its successor, except across row starts
+        unordered = np.diff(indices) <= 0
+        starts = indptr[1:-1]
+        unordered[starts[(starts > 0) & (starts < len(indices))] - 1] = False
+        if unordered.any():
+            row = np.searchsorted(indptr, np.argmax(unordered), side="right") - 1
+            raise ValueError(f"columns not strictly increasing in row {row}")
         if not np.all(np.isfinite(data)):
             raise ValueError("operator entries must be finite")
         self.n_rows = int(n_rows)

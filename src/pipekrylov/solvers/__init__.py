@@ -10,8 +10,10 @@ the stopping, stagnation and restart policy of :class:`RunControl`.  A
 method supplies only its refill, its per-iteration step and its
 per-row constants, the counts of blocking and overlappable reduction
 phases.  The windowed methods keep their retained directions in one
-:class:`~.common.DirectionWindow`.  The restarted minimal-residual
-cycles share the skeleton's row tail and breakdown path.
+:class:`~.common.DirectionWindow`.  The three minimal-residual methods
+share one restarted cycle, which differs between them only in how the
+new column's norm is reduced and how the next images are formed, and
+which uses the skeleton's row tail and breakdown path.
 """
 
 from __future__ import annotations
@@ -73,7 +75,10 @@ __all__ = [
 # Per-iteration reduction-phase constants (blocking, overlappable) and the
 # work each overlappable phase hides behind.  Initial rows, restart rows,
 # and breakdown rows are flagged in the trace and may add one blocking
-# refill phase (the naive variant's flush rows add none).
+# refill phase (the naive variant's flush rows add none).  A GMRES cycle
+# that ends early on its first column, right after a full cycle, adds two:
+# the previous cycle's residual refill, which its first row carries, and
+# its own.
 REDUCTION_LEDGER: dict[str, tuple[int, int, frozenset]] = {
     "pcg": (2, 0, frozenset()),
     "cgcg": (1, 0, frozenset()),

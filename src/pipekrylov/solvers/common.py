@@ -62,8 +62,14 @@ THETA_MODES = ("zero", "one", "exact")
 class SolverConfig:
     """Immutable solve parameters shared by all method families.
 
-    ``sigma`` is the constant shift used by the single-reduction and
-    pipelined GMRES variants; setting ``sigma_auto_power`` to k > 0
+    ``method`` accepts the hyphenated spellings (``pipegcr-w``) and stores
+    the canonical name (``pipegcr_w``).  ``rtol`` and ``atol`` test the
+    method's recurred natural residual norm, the one the trace logs as
+    ``rnorm_natural``, not the true residual ``b - A x``.  Near machine
+    precision the two drift apart, so a tolerance below what the true
+    residual can reach may still stop with ``rtol``.  ``sigma`` is the
+    constant shift used by the single-reduction and pipelined GMRES
+    variants (``fgmres`` ignores it); setting ``sigma_auto_power`` to k > 0
     replaces it with a k-step power-iteration estimate of the largest
     preconditioned eigenvalue.  ``stagnation_window = 0`` disables
     stagnation detection.
@@ -84,7 +90,8 @@ class SolverConfig:
     prescale: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "method", self.method.strip().lower())
+        object.__setattr__(self, "method",
+                           self.method.strip().lower().replace("-", "_"))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (0.0 < self.rtol < 1.0):

@@ -1,20 +1,23 @@
 """Flexible minimal-residual variants with restart cycles.
 
-Each cycle builds an orthonormal residual basis, a set of flexible
-(preconditioned) images, and a least-squares system solved through Givens
-rotations; the natural residual norm is the magnitude of the rotated
-right-hand-side tail.  The iterate is materialized from the flexible
-images at every iteration so the trace can monitor the true residual.
+Each cycle builds an orthonormal residual basis V, the flexible
+(preconditioned) images U and their operator images AU = A·U, and a
+least-squares system solved through Givens rotations; the natural residual
+norm is the magnitude of the rotated right-hand-side tail.  The iterate is
+materialized from U at every iteration so the trace can monitor the true
+residual.  The three variants share one cycle and differ only in their
+reductions: column k projects z = AU[k-1] - sigma*V[k-1] onto V.
 
-* ``fgmres``: classical Gram-Schmidt with a fresh operator application
-  per column; the batched projection dots and the new-column norm form
-  two blocking phases.
-* ``cgfgmres``: shifted-image recurrence; projection coefficients and
-  the squared column norm batch into one blocking phase, with the new
-  column norm obtained from a Pythagorean identity.  A negative identity
-  value signals breakdown and triggers a cycle restart.
-* ``pipefgmres``: same fused reduction made overlappable by recurring
-  the basis extension from images computed one iteration ahead.
+* ``fgmres``: classical Gram-Schmidt (sigma = 0); the batched projection
+  dots and the norm of the reduced column form two blocking phases.
+* ``cgfgmres``: the projection and the squared norm of z batch into one
+  blocking phase, with the new column norm obtained from a Pythagorean
+  identity; the shift sigma keeps that identity well conditioned.
+* ``pipefgmres``: the same fused reduction made overlappable by recurring
+  U and AU from images computed one iteration ahead.
+
+A failed identity or a vanished rotated column ends the cycle early: the
+iterate is finalized, the residual refilled, and the cycle restarts.
 """
 
 from __future__ import annotations
@@ -70,99 +73,28 @@ class _LeastSquares:
         return maxpy(x_cycle, [float(yj) for yj in y], U[:k])
 
 
-def _new_cycle(drv: Driver, i: int, x, r, beta):
-    """Row 0 for the first cycle.  A later cycle's residual refill is
-    carried by its first row; a refill that is already exact or
-    non-finite ends the run without a row."""
-    if drv.ctl is None:
-        return drv.start(x, beta, True, {"r": r})
-    drv.cycle_restart = True
-    if not math.isfinite(beta):
-        return x, False, i, UNRECOVERABLE
-    if beta == 0.0:
-        return x, True, i, drv.ctl.converged_reason
-    return None
-
-
-def _fgmres(cfg, A, B, b, x0, rec):
-    drv = Driver(cfg, rec, 2, 0, NO_TAGS)
-    x = x0.copy()
-    mlen = cfg.restart_len
-    i = 0
-    while True:
-        r = b - A.apply(x)
-        beta = norm2(r)
-        done = _new_cycle(drv, i, x, r, beta)
-        if done:
-            return done
-        V = [r / beta]
-        U: list[np.ndarray] = []
-        ls = _LeastSquares(mlen, beta)
-        x_cycle = x.copy()
-        rec.observe("basis", i, v=V[0])
-        k = 0
-        while k < mlen:
-            if i >= cfg.max_it:
-                return x, False, i, "max_it"
-            k += 1
-            i += 1
-            u = B.apply(V[k - 1])
-            zu = A.apply(u)
-            U.append(u)
-            hcol = np.array([dot(zu, vj) for vj in V])  # blocking phase 1
-            zbar = maxpy(zu, [-float(hj) for hj in hcol], V)
-            hsub = norm2(zbar)                          # blocking phase 2
-            col = np.append(hcol, hsub)
-            d = ls.rotate(col, k)
-            if not math.isfinite(d):
-                return x, False, i, UNRECOVERABLE
-            if d == 0.0:
-                # the new column vanished; finalize this cycle and restart
-                x = ls.iterate(x_cycle, U, k - 1)
-                done = drv.accept(i, x, abs(ls.g[k - 1]), k, {})
-                break
-            natural = ls.append(col, k, d)
-            x = ls.iterate(x_cycle, U, k)
-            done = drv.accept(i, x, natural, k, {})
-            if done or hsub == 0.0:
-                break
-            V.append(zbar / hsub)
-            rec.observe("basis", i, v=V[-1])
-        if done:
-            return done
-
-
-def _shifted(cfg, A, B, b, x0, rec, pipelined):
+def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
     if pipelined:
         drv = Driver(cfg, rec, 0, 1, PIPEFGMRES_TAGS)
     else:
-        drv = Driver(cfg, rec, 1, 0, NO_TAGS)
-    x = x0.copy()
+        drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
+    sigma = cfg.sigma if fused else 0.0
     mlen = cfg.restart_len
-    sigma = cfg.sigma
+    x = x0.copy()
+    r = b - A.apply(x)
+    beta = norm2(r)
+    done = drv.start(x, beta, True, {"r": r})
     i = 0
-    prefetched = None
-    while True:
-        if prefetched is None:
-            r = b - A.apply(x)
-            beta = norm2(r)
-            done = _new_cycle(drv, i, x, r, beta)
-            if done:
-                return done
-        else:
-            r, beta = prefetched
-            prefetched = None
+    while done is None:
         V = [r / beta]
-        u = B.apply(V[0])
-        U = [u]
-        ZB = [A.apply(u) - sigma * V[0]]
-        QB: list[np.ndarray] = []
-        WB: list[np.ndarray] = []
+        U = [B.apply(V[0])]
+        AU = [A.apply(U[0])]
+        z = AU[0] - sigma * V[0]
         if pipelined:
-            QB.append(B.apply(ZB[0]))
-            WB.append(A.apply(QB[0]))
+            QB = [B.apply(z)]
+            WB = [A.apply(QB[0])]
         ls = _LeastSquares(mlen, beta)
-        x_cycle = x.copy()
+        x_cycle = x
         rec.observe("basis", i, v=V[0])
         k = 0
         while k < mlen:
@@ -170,60 +102,69 @@ def _shifted(cfg, A, B, b, x0, rec, pipelined):
                 return x, False, i, "max_it"
             k += 1
             i += 1
-            zprev = ZB[k - 1]
-            hb = np.array([dot(vj, zprev) for vj in V])
-            zeta = dot(zprev, zprev)                # batched into the same phase
-            t = zeta - float(hb @ hb)
-            failed = not (t >= 0.0 and math.isfinite(t))
+            hb = np.array([dot(vj, z) for vj in V])   # reduction phase 1
+            coeffs = [-float(hj) for hj in hb]
+            if fused:
+                t = dot(z, z) - float(hb @ hb)      # batched into phase 1
+                failed = not (t >= 0.0 and math.isfinite(t))
+                hsub = 0.0 if failed else math.sqrt(t)
+            else:
+                zbar = maxpy(z, coeffs, V)
+                hsub = norm2(zbar)                  # blocking phase 2
+                failed = False
             d = 0.0
             if not failed:
-                hsub = math.sqrt(t)
                 col = np.append(hb, hsub)
                 col[k - 1] += sigma
                 d = ls.rotate(col, k)
                 if not math.isfinite(d):
                     return x, False, i, UNRECOVERABLE
             if failed or d == 0.0:
-                # Pythagorean identity lost positivity, or the rotated
-                # column vanished: finalize the subspace solution, refresh
-                # the residual, and restart the cycle.
+                # the Pythagorean identity lost positivity, or the rotated
+                # column vanished: finalize the subspace solution, refill
+                # the residual, and restart the cycle from it
                 x = ls.iterate(x_cycle, U, k - 1)
                 r = b - A.apply(x)
                 beta = norm2(r)
                 done = drv.recover(i, x, beta, True, {"r": r}, nu=k,
                                    breakdown=failed)
-                if done:
-                    return done
-                prefetched = (r, beta)
                 break
             natural = ls.append(col, k, d)
             x = ls.iterate(x_cycle, U, k)
             done = drv.accept(i, x, natural, k, {})
             if done:
                 return done
-            if hsub == 0.0:
-                break
-            if k < mlen:
-                v = maxpy(zprev, [-float(hj) for hj in hb], V) / hsub
-                V.append(v)
-                rec.observe("basis", i, v=v)
-                if pipelined:
-                    unew = maxpy(QB[k - 1], [-float(hj) for hj in hb], U) / hsub
-                    U.append(unew)
-                    shifted_prev = [ZB[j] + sigma * V[j] for j in range(k)]
-                    znew = maxpy(WB[k - 1], [-float(hj) for hj in hb], shifted_prev)
-                    znew = znew / hsub - sigma * v
-                    ZB.append(znew)
-                    QB.append(B.apply(znew))
-                    WB.append(A.apply(QB[-1]))
-                else:
-                    unew = B.apply(v)
-                    U.append(unew)
-                    ZB.append(A.apply(unew) - sigma * v)
+            if k == mlen:
+                continue                # the cycle is full: refill below
+            if fused:
+                zbar = maxpy(z, coeffs, V)
+            V.append(zbar / hsub)
+            rec.observe("basis", i, v=V[-1])
+            if pipelined:
+                U.append(maxpy(QB[k - 1], coeffs, U) / hsub)
+                AU.append(maxpy(WB[k - 1], coeffs, AU) / hsub)
+            else:
+                U.append(B.apply(V[-1]))
+                AU.append(A.apply(U[-1]))
+            z = AU[-1] - sigma * V[-1]
+            if pipelined:
+                QB.append(B.apply(z))
+                WB.append(A.apply(QB[-1]))
+        else:
+            # a full cycle: its residual refill is carried by the next
+            # cycle's first row; an exact or non-finite refill ends the run
+            r = b - A.apply(x)
+            beta = norm2(r)
+            drv.cycle_restart = True
+            if not math.isfinite(beta):
+                return x, False, i, UNRECOVERABLE
+            if beta == 0.0:
+                return x, True, i, drv.ctl.converged_reason
+    return done
 
 
 DRIVERS = {
-    "fgmres": _fgmres,
-    "cgfgmres": partial(_shifted, pipelined=False),
-    "pipefgmres": partial(_shifted, pipelined=True),
+    "fgmres": partial(_gmres, fused=False, pipelined=False),
+    "cgfgmres": partial(_gmres, fused=True, pipelined=False),
+    "pipefgmres": partial(_gmres, fused=True, pipelined=True),
 }

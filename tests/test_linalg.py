@@ -133,6 +133,23 @@ def test_unsorted_columns_rejected():
         SparseOperator(1, 3, [0, 2], [2, 0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("indptr,indices,row", [
+    # an entry repeats across the row 1/row 3 boundary, which is allowed;
+    # row 3 itself is out of order
+    ([0, 0, 2, 2, 4], [0, 2, 2, 1], 3),
+    # a duplicate entry between a leading and a trailing empty row
+    ([0, 0, 2, 2, 2], [1, 1], 1),
+])
+def test_unsorted_columns_name_the_first_bad_row(indptr, indices, row):
+    with pytest.raises(ValueError, match=rf"strictly increasing in row {row}$"):
+        SparseOperator(4, 3, indptr, indices, np.ones(len(indices)))
+
+
+def test_empty_rows_at_both_ends_are_accepted():
+    A = SparseOperator(4, 3, [0, 0, 1, 3, 3], [2, 0, 1], [1.0, 2.0, 3.0])
+    assert A.to_dense().tolist() == [[0, 0, 0], [0, 0, 1], [2, 3, 0], [0, 0, 0]]
+
+
 def test_column_out_of_range_rejected():
     with pytest.raises(ValueError, match="out of range"):
         SparseOperator(1, 2, [0, 1], [5], [1.0])

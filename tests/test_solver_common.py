@@ -124,6 +124,14 @@ def test_config_normalizes_method_case():
     assert SolverConfig(method="  PCG ").method == "pcg"
 
 
+@pytest.mark.parametrize("spelling,method", [("pipefcg-naive", "pipefcg_naive"),
+                                             ("PipeGCR-W", "pipegcr_w")])
+def test_config_accepts_hyphenated_method_names(spelling, method, poisson8):
+    cfg = SolverConfig(method=spelling)
+    assert cfg.method == method
+    assert solve(cfg, poisson8.A, IdentityPreconditioner(), poisson8.b).converged
+
+
 @pytest.mark.parametrize("kwargs,match", [
     (dict(method="cgs"), "unknown method"),
     (dict(method="pcg", rtol=0.0), "rtol"),

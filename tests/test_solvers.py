@@ -19,9 +19,16 @@ from pipekrylov.preconditioners import (
     IdentityPreconditioner,
     JacobiPreconditioner,
     NoisyPreconditioner,
+    Preconditioner,
 )
 from pipekrylov.problems import make_identity, make_poisson, make_sinker, make_toy_diagonal
-from pipekrylov.solvers import METHODS, REDUCTION_LEDGER, SolverConfig, solve
+from pipekrylov.solvers import (
+    GMRES_FAMILY,
+    METHODS,
+    REDUCTION_LEDGER,
+    SolverConfig,
+    solve,
+)
 from pipekrylov.traceio import write_trace_csv
 
 from conftest import random_spd
@@ -91,6 +98,51 @@ def test_gmres_restart_cycles_are_flagged_and_still_converge(poisson16):
     assert res.converged
     restarts = [row.iter for row in res.trace if row.restarted]
     assert restarts, "expected at least one restart row"
+
+
+class _ZeroOnCall(Preconditioner):
+    """Jacobi that returns the zero vector on one chosen (0-based) call."""
+
+    def __init__(self, A, call: int):
+        self._inner = JacobiPreconditioner(A)
+        self._call = call
+        self._count = 0
+
+    def apply(self, r):
+        self._count += 1
+        if self._count - 1 == self._call:
+            return np.zeros_like(r)
+        return self._inner.apply(r)
+
+
+def _vanished_column_row(method, poisson16, call, row):
+    """A zero image on ``call`` vanishes a GMRES column: the row restarts
+    the cycle from a refilled residual, without a breakdown flag."""
+    res = _solve(method, poisson16.A, _ZeroOnCall(poisson16.A, call),
+                 poisson16.b, restart_len=5)
+    assert res.converged
+    flagged = res.trace[row]
+    assert flagged.restarted and not flagged.breakdown
+    assert flagged.nu_used == 1
+    return flagged
+
+
+@pytest.mark.parametrize("method", GMRES_FAMILY)
+def test_vanished_first_column_restarts_with_one_refill(method, poisson16):
+    row = _vanished_column_row(method, poisson16, call=0, row=1)
+    blocking, overlapped, tags = REDUCTION_LEDGER[method]
+    assert (row.red_blocking, row.red_overlapped) == (blocking + 1, overlapped)
+    assert row.overlap_tags == tags
+
+
+@pytest.mark.parametrize("method", GMRES_FAMILY)
+def test_vanished_column_after_a_full_cycle_carries_both_refills(method, poisson16):
+    # a cycle of 5 columns makes 5 preconditioner calls, pipefgmres one
+    # more for the image it computes ahead; the next call opens cycle 2
+    first_of_cycle_2 = 6 if method == "pipefgmres" else 5
+    row = _vanished_column_row(method, poisson16, call=first_of_cycle_2, row=6)
+    blocking, overlapped, _ = REDUCTION_LEDGER[method]
+    assert (row.red_blocking, row.red_overlapped) == (blocking + 2, overlapped)
 
 
 def test_pipefgmres_accepts_estimated_shift(poisson16):

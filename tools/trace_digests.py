@@ -1,11 +1,15 @@
-"""Print one sha256 digest per (case, method) of everything a solve emits.
+"""Print two sha256 digests per (case, method) of everything a solve emits.
 
-Each digest covers the trace CSV bytes, ``x_final.tobytes()``, the stop
-reason and the observer event stream, so two checkouts that print the
-same lines produce byte-identical solver output on these cases.  Run it
+The ``trace`` digest covers the trace CSV bytes, ``x_final.tobytes()`` and
+the stop reason; the ``events`` digest covers the observer event stream.
+Two checkouts that print the same lines produce byte-identical solver
+output on these cases, and a line whose ``trace`` digest matches while its
+``events`` digest differs changed only what the observer sees.  Run it
 from the repository root on both sides of a change and diff the output:
 
     PYTHONPATH=src python3 tools/trace_digests.py > digests.txt
+
+Each line reads ``case method iterations stop_reason trace=... events=...``.
 
 The BLAS thread count can change the rounding of large dot products;
 compare runs made with the same ``OPENBLAS_NUM_THREADS``.
@@ -23,6 +27,7 @@ from pipekrylov.preconditioners import (
     IdentityPreconditioner,
     JacobiPreconditioner,
     NoisyPreconditioner,
+    Preconditioner,
 )
 from pipekrylov.problems import make_poisson, make_toy_diagonal
 from pipekrylov.solvers import METHODS, SolverConfig, solve
@@ -50,6 +55,22 @@ def _noisy_poisson(A):
     return NoisyPreconditioner(1e-4, seed=3)
 
 
+class _ZeroOnCalls(Preconditioner):
+    """Jacobi that returns the zero vector on the chosen (0-based) calls;
+    in the minimal-residual methods a zero image vanishes the column."""
+
+    def __init__(self, A, calls):
+        self._inner = JacobiPreconditioner(A)
+        self._calls = frozenset(calls)
+        self._count = 0
+
+    def apply(self, r):
+        self._count += 1
+        if self._count - 1 in self._calls:
+            return np.zeros_like(r)
+        return self._inner.apply(r)
+
+
 # name -> (system builder, SolverConfig overrides)
 CASES = {
     "poisson2d-jacobi": (lambda: _poisson(JacobiPreconditioner), {}),
@@ -71,6 +92,12 @@ CASES = {
     "atol": (lambda: _poisson(JacobiPreconditioner), dict(atol=1e-3, rtol=1e-12)),
     "stagnation": (lambda: _poisson(JacobiPreconditioner),
                    dict(rtol=1e-30, stagnation_window=30, max_it=600)),
+    "sigma-0.5": (lambda: _poisson(JacobiPreconditioner), dict(sigma=0.5)),
+    # a zero image on call 0 vanishes the first GMRES column; in fgmres
+    # and cgfgmres call 11 opens the cycle after a full one, in pipefgmres
+    # it is a recurred image that fails the Pythagorean identity
+    "vanished-column": (lambda: _poisson(lambda A: _ZeroOnCalls(A, (0, 11))),
+                        dict(restart_len=10)),
 }
 
 
@@ -83,28 +110,29 @@ def _update_with_event(h, event, i, payload) -> None:
                  else repr(value).encode())
 
 
-def digest(case: str, method: str) -> tuple[str, int, str]:
+def digest(case: str, method: str) -> tuple[str, str, int, str]:
+    """(trace digest, events digest, iterations, stop reason)."""
     build, overrides = CASES[case]
     A, make_pc, b, x_true = build()
     kwargs = dict(max_it=400)
     kwargs.update(overrides)
-    h = hashlib.sha256()
+    events = hashlib.sha256()
     res = solve(SolverConfig(method=method, **kwargs), A, make_pc(), b,
                 x_true=x_true, seed=0,
-                observer=lambda e, i, p: _update_with_event(h, e, i, p))
+                observer=lambda e, i, p: _update_with_event(events, e, i, p))
     buf = io.StringIO()
     write_trace_csv(buf, res.trace)
-    h.update(buf.getvalue().encode())
-    h.update(res.x_final.tobytes())
-    h.update(res.stop_reason.encode())
-    return h.hexdigest(), res.iterations, res.stop_reason
+    trace = hashlib.sha256(buf.getvalue().encode())
+    trace.update(res.x_final.tobytes())
+    trace.update(res.stop_reason.encode())
+    return trace.hexdigest(), events.hexdigest(), res.iterations, res.stop_reason
 
 
 def main() -> None:
     for case in CASES:
         for method in METHODS:
-            sha, iters, reason = digest(case, method)
-            print(f"{case} {method} {iters} {reason} {sha}")
+            trace, events, iters, reason = digest(case, method)
+            print(f"{case} {method} {iters} {reason} trace={trace} events={events}")
 
 
 if __name__ == "__main__":
