@@ -110,31 +110,29 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
     inside = (cx - 0.5) ** 2 + (cy - 0.5) ** 2 <= 0.25 ** 2
     kappa = np.where(inside, float(contrast), 1.0)
 
-    def face(k1: float, k2: float) -> float:
-        return 2.0 * k1 * k2 / (k1 + k2)
-
-    idx = lambda i, j: i * n + j
     N = n * n
+    cell = np.arange(N).reshape(n, n)
+    lines = np.arange(n)
     rows, cols, vals = [], [], []
-    diag = np.zeros(N)
-    for i in range(n):
-        for j in range(n):
-            k = idx(i, j)
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < n and 0 <= jj < n:
-                    c = face(kappa[i, j], kappa[ii, jj])
-                    diag[k] += c
-                    rows.append(k)
-                    cols.append(idx(ii, jj))
-                    vals.append(-c)
-                else:
-                    # Dirichlet face: the boundary value is folded in, and
-                    # the face coefficient is the cell's own kappa.
-                    diag[k] += kappa[i, j]
-    rows.extend(range(N))
-    cols.extend(range(N))
-    vals.extend(diag)
+    diag = np.zeros((n, n))
+    # the four faces in a fixed order, so each diagonal sum rounds the same
+    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        si, sj = lines + di, lines + dj
+        interior = ((si >= 0) & (si < n))[:, None] & ((sj >= 0) & (sj < n))[None, :]
+        ii = np.clip(si, 0, n - 1)[:, None]
+        jj = np.clip(sj, 0, n - 1)[None, :]
+        nb = kappa[ii, jj]
+        # face coefficient: harmonic mean of the two cells; a Dirichlet
+        # face folds the boundary value in with the cell's own kappa
+        c = 2.0 * kappa * nb / (kappa + nb)
+        diag += np.where(interior, c, kappa)
+        rows.append(cell[interior])
+        cols.append((ii * n + jj)[interior])
+        vals.append(-c[interior])
+    rows.append(cell.ravel())
+    cols.append(cell.ravel())
+    vals.append(diag.ravel())
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
     op = SparseOperator.from_scipy(A, symmetric=True)
     b = inside.astype(np.float64).ravel()

@@ -13,7 +13,11 @@ phases.  The windowed methods keep their retained directions in one
 :class:`~.common.DirectionWindow`.  The three minimal-residual methods
 share one restarted cycle, which differs between them only in how the
 new column's norm is reduced and how the next images are formed, and
-which uses the skeleton's row tail and breakdown path.
+which uses the skeleton's row tail and breakdown path.  The cycle keeps
+its basis and images as rows of contiguous blocks, projects and updates
+with one stacked product each, and forms the iterate only on rows the
+recorder reads (:attr:`~.common.TraceRecorder.reads_iterate`), at the
+end of a cycle, on a breakdown and on exit.
 """
 
 from __future__ import annotations

@@ -164,6 +164,10 @@ class IterationTrace:
 
 @dataclass
 class SolveResult:
+    """Outcome of a solve.  ``stop_reason`` is one of ``rtol``, ``atol``
+    (converged), ``max_it``, ``stagnation`` or ``breakdown_unrecoverable``.
+    """
+
     x_final: np.ndarray
     converged: bool
     iterations: int
@@ -322,6 +326,15 @@ class TraceRecorder:
         self._observer = observer
         self.trace = IterationTrace()
         self.last_x: Optional[np.ndarray] = None
+
+    @property
+    def reads_iterate(self) -> bool:
+        """True when a logged row reads its iterate: the true residual is
+        monitored, ``x_true`` is known, or an observer receives the state.
+        Drivers that form the iterate lazily must form it on every row
+        when this holds."""
+        return (self._monitor or self._x_true is not None
+                or self._observer is not None)
 
     def log(self, i: int, x: np.ndarray, natural: float, nu_used: int,
             red_blocking: int, red_overlapped: int, tags: frozenset,

@@ -1,12 +1,14 @@
 """Flexible minimal-residual variants with restart cycles.
 
 Each cycle builds an orthonormal residual basis V, the flexible
-(preconditioned) images U and their operator images AU = A·U, and a
-least-squares system solved through Givens rotations; the natural residual
-norm is the magnitude of the rotated right-hand-side tail.  The iterate is
-materialized from U at every iteration so the trace can monitor the true
-residual.  The three variants share one cycle and differ only in their
-reductions: column k projects z = AU[k-1] - sigma*V[k-1] onto V.
+(preconditioned) images U, and a least-squares system solved through
+Givens rotations; the natural residual norm is the magnitude of the
+rotated right-hand-side tail.  V and U are rows of (restart_len, n)
+blocks allocated once per solve, so column k projects
+z = A·U[k-1] - sigma*V[k-1] onto V in one stacked product and every
+update is one product with a block.  The iterate x_cycle + U y is formed
+only where it is read: on every row when the recorder reads it, at the
+end of a full cycle, on a breakdown and on every exit.
 
 * ``fgmres``: classical Gram-Schmidt (sigma = 0); the batched projection
   dots and the norm of the reduced column form two blocking phases.
@@ -14,7 +16,8 @@ reductions: column k projects z = AU[k-1] - sigma*V[k-1] onto V.
   blocking phase, with the new column norm obtained from a Pythagorean
   identity; the shift sigma keeps that identity well conditioned.
 * ``pipefgmres``: the same fused reduction made overlappable by recurring
-  U and AU from images computed one iteration ahead.
+  U and A·U, a third block, from images computed one iteration ahead.
+  The other two keep only the newest image A·U[k-1].
 
 A failed identity or a vanished rotated column ends the cycle early: the
 iterate is finalized, the residual refilled, and the cycle restarts.
@@ -28,7 +31,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..linalg import dot, maxpy, norm2
+from ..linalg import dot, maxpy, mdot, norm2
 from .common import NO_TAGS, UNRECOVERABLE, Driver
 
 PIPEFGMRES_TAGS = frozenset({"pc", "spmv"})
@@ -66,11 +69,12 @@ class _LeastSquares:
         g[k - 1] = cs[k - 1] * g[k - 1]
         return abs(g[k])
 
-    def iterate(self, x_cycle: np.ndarray, U: list, k: int) -> np.ndarray:
+    def iterate(self, x_cycle: np.ndarray, U: np.ndarray, k: int) -> np.ndarray:
+        """The cycle's minimal-residual iterate over its first k columns."""
         if k == 0:
-            return x_cycle.copy()
+            return x_cycle
         y = solve_triangular(self.R[:k, :k], self.g[:k], lower=False)
-        return maxpy(x_cycle, [float(yj) for yj in y], U[:k])
+        return maxpy(x_cycle, y, U[:k])
 
 
 def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
@@ -80,36 +84,44 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
         drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
     sigma = cfg.sigma if fused else 0.0
     mlen = cfg.restart_len
+    eager = rec.reads_iterate
+    V = np.empty((mlen, b.shape[0]))
+    U = np.empty_like(V)
+    AU = np.empty_like(V) if pipelined else None
     x = x0.copy()
     r = b - A.apply(x)
     beta = norm2(r)
     done = drv.start(x, beta, True, {"r": r})
     i = 0
     while done is None:
-        V = [r / beta]
-        U = [B.apply(V[0])]
-        AU = [A.apply(U[0])]
-        z = AU[0] - sigma * V[0]
-        if pipelined:
-            QB = [B.apply(z)]
-            WB = [A.apply(QB[0])]
+        V[0] = r / beta
         ls = _LeastSquares(mlen, beta)
         x_cycle = x
         rec.observe("basis", i, v=V[0])
         k = 0
         while k < mlen:
             if i >= cfg.max_it:
-                return x, False, i, "max_it"
+                return ls.iterate(x_cycle, U, k), False, i, "max_it"
+            if k == 0 or not pipelined:
+                # pipefgmres recurs the images of every later column
+                U[k] = B.apply(V[k])
+                au = A.apply(U[k])
+            if pipelined:
+                AU[k] = au
+            z = au - sigma * V[k]
+            if pipelined:
+                qb = B.apply(z)
+                wb = A.apply(qb)
             k += 1
             i += 1
-            hb = np.array([dot(vj, z) for vj in V])   # reduction phase 1
-            coeffs = [-float(hj) for hj in hb]
+            hb = mdot(V[:k], z)                     # reduction phase 1
+            coeffs = -hb
             if fused:
                 t = dot(z, z) - float(hb @ hb)      # batched into phase 1
                 failed = not (t >= 0.0 and math.isfinite(t))
                 hsub = 0.0 if failed else math.sqrt(t)
             else:
-                zbar = maxpy(z, coeffs, V)
+                zbar = maxpy(z, coeffs, V[:k])
                 hsub = norm2(zbar)                  # blocking phase 2
                 failed = False
             d = 0.0
@@ -118,7 +130,7 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
                 col[k - 1] += sigma
                 d = ls.rotate(col, k)
                 if not math.isfinite(d):
-                    return x, False, i, UNRECOVERABLE
+                    return ls.iterate(x_cycle, U, k - 1), False, i, UNRECOVERABLE
             if failed or d == 0.0:
                 # the Pythagorean identity lost positivity, or the rotated
                 # column vanished: finalize the subspace solution, refill
@@ -130,29 +142,25 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
                                    breakdown=failed)
                 break
             natural = ls.append(col, k, d)
-            x = ls.iterate(x_cycle, U, k)
+            # a row that reads no iterate logs the last one formed
+            if eager:
+                x = ls.iterate(x_cycle, U, k)
             done = drv.accept(i, x, natural, k, {})
             if done:
-                return done
+                return (ls.iterate(x_cycle, U, k),) + done[1:]
             if k == mlen:
                 continue                # the cycle is full: refill below
             if fused:
-                zbar = maxpy(z, coeffs, V)
-            V.append(zbar / hsub)
-            rec.observe("basis", i, v=V[-1])
+                zbar = maxpy(z, coeffs, V[:k])
+            V[k] = zbar / hsub
+            rec.observe("basis", i, v=V[k])
             if pipelined:
-                U.append(maxpy(QB[k - 1], coeffs, U) / hsub)
-                AU.append(maxpy(WB[k - 1], coeffs, AU) / hsub)
-            else:
-                U.append(B.apply(V[-1]))
-                AU.append(A.apply(U[-1]))
-            z = AU[-1] - sigma * V[-1]
-            if pipelined:
-                QB.append(B.apply(z))
-                WB.append(A.apply(QB[-1]))
+                U[k] = maxpy(qb, coeffs, U[:k]) / hsub
+                au = maxpy(wb, coeffs, AU[:k]) / hsub
         else:
             # a full cycle: its residual refill is carried by the next
             # cycle's first row; an exact or non-finite refill ends the run
+            x = ls.iterate(x_cycle, U, mlen)
             r = b - A.apply(x)
             beta = norm2(r)
             drv.cycle_restart = True

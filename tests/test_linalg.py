@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pipekrylov.linalg import SparseOperator, as_vector, axpy, dot, maxpy, norm2
+from pipekrylov.linalg import SparseOperator, as_vector, axpy, dot, maxpy, mdot, norm2
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -68,6 +68,43 @@ def test_maxpy_is_bitwise_sequential_axpy():
 def test_maxpy_count_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         maxpy(np.zeros(3), [1.0], [])
+
+
+def _block(rows: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, n)), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("rows,n", [(1, 5), (7, 64), (30, 1000)])
+def test_mdot_matches_a_list_of_dots(rows, n):
+    vs, u = _block(rows, n, seed=rows)
+    expected = np.array([dot(v, u) for v in vs])
+    got = mdot(vs, u)
+    assert got.shape == (rows,)
+    scale = np.abs(vs) @ np.abs(u)
+    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("rows,n", [(0, 5), (1, 5), (7, 64), (30, 1000)])
+def test_block_maxpy_matches_list_maxpy(rows, n):
+    vs, u = _block(rows, n, seed=100 + rows)
+    cs = np.random.default_rng(rows).standard_normal(rows)
+    expected = maxpy(u, cs.tolist(), list(vs))
+    got = maxpy(u, cs, vs)
+    scale = np.abs(u) + np.abs(cs) @ np.abs(vs)
+    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+
+def test_block_kernels_reject_mismatches():
+    vs, u = _block(3, 8, seed=1)
+    with pytest.raises(ValueError, match="length mismatch"):
+        mdot(vs, u[:7])
+    with pytest.raises(ValueError, match="2-D"):
+        mdot(u, u)
+    with pytest.raises(ValueError, match="count mismatch"):
+        maxpy(u, [1.0, 2.0], vs)
+    with pytest.raises(ValueError, match="length mismatch"):
+        maxpy(u[:7], [1.0, 2.0, 3.0], vs)
 
 
 def _toy_matrix() -> SparseOperator:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pipekrylov.problems import (
     make_identity,
@@ -110,6 +111,47 @@ def test_sinker_forcing_is_the_inclusion_indicator():
     assert set(prob.b.tolist()) == {0.0, 1.0}
     assert prob.b.sum() > 0
     assert prob.x_true is None
+
+
+def _sinker_by_loop(n: int, contrast: float):
+    """The cell-by-cell assembly make_sinker replaced, kept as its oracle."""
+    centers = (np.arange(n) + 0.5) / n
+    cx, cy = np.meshgrid(centers, centers, indexing="ij")
+    inside = (cx - 0.5) ** 2 + (cy - 0.5) ** 2 <= 0.25 ** 2
+    kappa = np.where(inside, float(contrast), 1.0)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n * n)
+    for i in range(n):
+        for j in range(n):
+            k = i * n + j
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < n and 0 <= jj < n:
+                    c = 2.0 * kappa[i, j] * kappa[ii, jj] / (kappa[i, j] + kappa[ii, jj])
+                    diag[k] += c
+                    rows.append(k)
+                    cols.append(ii * n + jj)
+                    vals.append(-c)
+                else:
+                    diag[k] += kappa[i, j]
+    rows.extend(range(n * n))
+    cols.extend(range(n * n))
+    vals.extend(diag)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
+    A.sum_duplicates()
+    A.sort_indices()
+    return A, inside.astype(np.float64).ravel()
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+@pytest.mark.parametrize("contrast", [1.0, 1e3])
+def test_sinker_is_bitwise_the_cell_loop_assembly(n, contrast):
+    want, b = _sinker_by_loop(n, contrast)
+    prob = make_sinker(n, contrast)
+    assert np.array_equal(prob.A.indptr, want.indptr)
+    assert np.array_equal(prob.A.indices, want.indices)
+    assert prob.A.data.tobytes() == want.data.tobytes()
+    assert prob.b.tobytes() == b.tobytes()
 
 
 def test_sinker_validation():

@@ -12,6 +12,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipekrylov.linalg import SparseOperator, norm2
 from pipekrylov.preconditioners import (
@@ -31,7 +33,9 @@ from pipekrylov.solvers import (
 )
 from pipekrylov.traceio import write_trace_csv
 
-from conftest import random_spd
+from conftest import collector, random_spd
+
+STOP_REASONS = ("rtol", "atol", "max_it", "stagnation", "breakdown_unrecoverable")
 
 
 def _solve(method: str, A, B, b, **kwargs):
@@ -143,6 +147,88 @@ def test_vanished_column_after_a_full_cycle_carries_both_refills(method, poisson
     row = _vanished_column_row(method, poisson16, call=first_of_cycle_2, row=6)
     blocking, overlapped, _ = REDUCTION_LEDGER[method]
     assert (row.red_blocking, row.red_overlapped) == (blocking + 2, overlapped)
+
+
+def _bare_and_eager(method, A, make_pc, b, x_true, **kwargs):
+    """The same GMRES solve twice: bare, where no row reads the iterate,
+    and eager, where monitoring, x_true and an observer all read it."""
+    bare = solve(SolverConfig(method=method, monitor_true_residual=False, **kwargs),
+                 A, make_pc(), b)
+    eager = solve(SolverConfig(method=method, **kwargs), A, make_pc(), b,
+                  x_true=x_true, observer=collector([]))
+    return bare, eager
+
+
+def _assert_same_run(bare, eager):
+    assert bare.x_final.tobytes() == eager.x_final.tobytes()
+    assert (bare.iterations, bare.stop_reason) == (eager.iterations, eager.stop_reason)
+    assert (bare.trace.natural_history().tobytes()
+            == eager.trace.natural_history().tobytes())
+
+
+# case -> (preconditioner builder, SolverConfig overrides, stop reason)
+LAZY_ITERATE_CASES = {
+    "rtol": (JacobiPreconditioner, {}, "rtol"),
+    "max_it-mid-cycle": (JacobiPreconditioner, dict(max_it=17, restart_len=10),
+                         "max_it"),
+    "stagnation": (JacobiPreconditioner,
+                   dict(rtol=1e-30, stagnation_window=30, max_it=600), "stagnation"),
+    # a zero image on call 3 ends the first cycle early on column 4
+    "vanished-column": (lambda A: _ZeroOnCall(A, 3), dict(restart_len=10), "rtol"),
+}
+
+
+@pytest.mark.parametrize("case", LAZY_ITERATE_CASES)
+@pytest.mark.parametrize("method", GMRES_FAMILY)
+def test_lazy_iterate_matches_the_eager_one_bitwise(method, case):
+    prob = make_poisson(2, 32, seed=0)
+    make_pc, overrides, reason = LAZY_ITERATE_CASES[case]
+    kwargs = {"max_it": 400, **overrides}
+    bare, eager = _bare_and_eager(method, prob.A, lambda: make_pc(prob.A), prob.b,
+                                  prob.x_true, **kwargs)
+    assert bare.stop_reason == reason
+    _assert_same_run(bare, eager)
+    if case == "vanished-column":
+        assert bare.trace[4].restarted
+    if case == "max_it-mid-cycle":
+        assert bare.trace[11].restarted and bare.iterations == 17
+
+
+@st.composite
+def _diagonally_dominant_system(draw):
+    """A random nonsymmetric sparse system with a strictly dominant positive
+    diagonal, its right-hand side and its dense solution."""
+    n = draw(st.integers(5, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    np.fill_diagonal(dense, 0.0)
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0 + rng.random(n))
+    b = rng.standard_normal(n)
+    return SparseOperator.from_dense(dense), b, np.linalg.solve(dense, b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=_diagonally_dominant_system(),
+       method=st.sampled_from(GMRES_FAMILY),
+       restart_len=st.integers(1, 12),
+       max_it=st.integers(1, 80),
+       sigma=st.sampled_from([0.0, 0.5]),
+       jacobi=st.booleans())
+def test_gmres_family_properties(system, method, restart_len, max_it, sigma, jacobi):
+    A, b, x_true = system
+    make_pc = (lambda: JacobiPreconditioner(A)) if jacobi else IdentityPreconditioner
+    bare, eager = _bare_and_eager(method, A, make_pc, b, x_true,
+                                  restart_len=restart_len, max_it=max_it, sigma=sigma)
+    assert eager.stop_reason in STOP_REASONS
+    for row in eager.trace:
+        assert np.isfinite([row.rnorm_natural, row.rnorm_true, row.relerr]).all()
+    # within a cycle a Givens rotation scales the residual tail by
+    # |sn| <= 1; only a row with a refilled residual, flagged restarted or
+    # breakdown, may raise the natural norm
+    rows = eager.trace.rows
+    for prev, row in zip(rows, rows[1:]):
+        assert row.restarted or row.breakdown or row.rnorm_natural <= prev.rnorm_natural
+    _assert_same_run(bare, eager)
 
 
 def test_pipefgmres_accepts_estimated_shift(poisson16):

@@ -1,15 +1,21 @@
-"""Print two sha256 digests per (case, method) of everything a solve emits.
+"""Print three sha256 digests per (case, method) of everything a solve emits.
 
 The ``trace`` digest covers the trace CSV bytes, ``x_final.tobytes()`` and
 the stop reason; the ``events`` digest covers the observer event stream.
-Two checkouts that print the same lines produce byte-identical solver
-output on these cases, and a line whose ``trace`` digest matches while its
-``events`` digest differs changed only what the observer sees.  Run it
-from the repository root on both sides of a change and diff the output:
+Both come from a solve that reads the iterate on every row: it is given
+``x_true`` and an observer, and monitors the true residual.  The ``bare``
+digest covers the same three items for the case solved with no
+``x_true``, no observer and monitoring off, the path in which a solver
+need not form its iterate on every row.  Two checkouts that print the
+same lines produce byte-identical solver output on these cases, and a
+line whose ``trace`` digest matches while its ``events`` digest differs
+changed only what the observer sees.  Run it from the repository root on
+both sides of a change and diff the output:
 
     PYTHONPATH=src python3 tools/trace_digests.py > digests.txt
 
-Each line reads ``case method iterations stop_reason trace=... events=...``.
+Each line reads
+``case method iterations stop_reason trace=... events=... bare=...``.
 
 The BLAS thread count can change the rounding of large dot products;
 compare runs made with the same ``OPENBLAS_NUM_THREADS``.
@@ -110,8 +116,17 @@ def _update_with_event(h, event, i, payload) -> None:
                  else repr(value).encode())
 
 
-def digest(case: str, method: str) -> tuple[str, str, int, str]:
-    """(trace digest, events digest, iterations, stop reason)."""
+def _result_digest(res) -> str:
+    buf = io.StringIO()
+    write_trace_csv(buf, res.trace)
+    h = hashlib.sha256(buf.getvalue().encode())
+    h.update(res.x_final.tobytes())
+    h.update(res.stop_reason.encode())
+    return h.hexdigest()
+
+
+def digest(case: str, method: str) -> tuple[str, str, str, int, str]:
+    """(trace digest, events digest, bare digest, iterations, stop reason)."""
     build, overrides = CASES[case]
     A, make_pc, b, x_true = build()
     kwargs = dict(max_it=400)
@@ -120,19 +135,18 @@ def digest(case: str, method: str) -> tuple[str, str, int, str]:
     res = solve(SolverConfig(method=method, **kwargs), A, make_pc(), b,
                 x_true=x_true, seed=0,
                 observer=lambda e, i, p: _update_with_event(events, e, i, p))
-    buf = io.StringIO()
-    write_trace_csv(buf, res.trace)
-    trace = hashlib.sha256(buf.getvalue().encode())
-    trace.update(res.x_final.tobytes())
-    trace.update(res.stop_reason.encode())
-    return trace.hexdigest(), events.hexdigest(), res.iterations, res.stop_reason
+    bare = solve(SolverConfig(method=method, monitor_true_residual=False, **kwargs),
+                 A, make_pc(), b, seed=0)
+    return (_result_digest(res), events.hexdigest(), _result_digest(bare),
+            res.iterations, res.stop_reason)
 
 
 def main() -> None:
     for case in CASES:
         for method in METHODS:
-            trace, events, iters, reason = digest(case, method)
-            print(f"{case} {method} {iters} {reason} trace={trace} events={events}")
+            trace, events, bare, iters, reason = digest(case, method)
+            print(f"{case} {method} {iters} {reason} trace={trace} events={events} "
+                  f"bare={bare}")
 
 
 if __name__ == "__main__":
