@@ -124,7 +124,8 @@ _SOLVER_OPTS = (
     _Opt("sigma_auto_power", _cast_int, 0,
          "estimate the shift with this many power-iteration steps"),
     _Opt("theta_mode", _cast_name, "one",
-         "stabilization weighting: zero, one, or exact"),
+         "stabilization weighting of pipefcg, pipegcr and pipegcr-w: zero, one, "
+         "or exact (pipefcg-naive always uses the unstabilized B(w))"),
     _Opt("monitor_true_residual", _cast_bool, True,
          "recompute the true residual every iteration", is_flag=True),
     _Opt("stagnation_window", _cast_int, 50,

@@ -9,14 +9,16 @@ row and the breakdown path (refill, flagged row, restart or stop) under
 the stopping, stagnation and restart policy of :class:`RunControl`.  A
 method supplies only its refill, its per-iteration step and its
 per-row constants, the counts of blocking and overlappable reduction
-phases.  The windowed methods keep their retained directions in one
-:class:`~.common.DirectionWindow`.  The three minimal-residual methods
-share one restarted cycle, which differs between them only in how the
-new column's norm is reduced and how the next images are formed, and
-which uses the skeleton's row tail and breakdown path.  The cycle keeps
-its basis and images as rows of contiguous blocks, projects and updates
-with one stacked product each, and forms the iterate only on rows the
-recorder reads (:attr:`~.common.TraceRecorder.reads_iterate`), at the
+phases.  The CG, FCG and minimal-residual families each have one driver
+with two switches, ``fused`` (the reductions batched into one blocking
+phase) and ``pipelined`` (that phase made overlappable); the FCG driver
+adds ``naive`` for ``pipefcg_naive``.  The windowed methods keep their
+retained directions in one :class:`~.common.DirectionWindow`.  The
+minimal-residual driver is a restarted cycle on the skeleton's row tail
+and breakdown path.  It keeps its basis and images as rows of contiguous
+blocks, projects and updates with one stacked product each, and forms
+the iterate only on rows the recorder reads
+(:attr:`~.common.TraceRecorder.reads_iterate`), at the
 end of a cycle, on a breakdown and on exit.
 """
 

@@ -71,7 +71,9 @@ class SolverConfig:
     constant shift used by the single-reduction and pipelined GMRES
     variants (``fgmres`` ignores it); setting ``sigma_auto_power`` to k > 0
     replaces it with a k-step power-iteration estimate of the largest
-    preconditioned eigenvalue.  ``stagnation_window = 0`` disables
+    preconditioned eigenvalue.  ``theta_mode`` is the stabilized update of
+    m in ``pipefcg``, ``pipegcr`` and ``pipegcr_w``; ``pipefcg_naive``
+    always uses the unstabilized B(w).  ``stagnation_window = 0`` disables
     stagnation detection.
     """
 
@@ -442,8 +444,8 @@ class Driver:
         its window, and returns ``(natural, ok, state)``; ``ok`` is False
         when a coupling scalar of the new state is not positive.
         ``step(x)`` runs one iteration and returns ``(x, row)``, where row
-        is ``(natural, nu, state[, direction])`` or None on breakdown.
-        ``state`` and ``direction`` are the observer payloads.
+        is the arguments of :meth:`accept` after ``(i, x)``, or None on
+        breakdown.  ``state`` and ``direction`` are the observer payloads.
         """
         done = self.start(x, *refill(x))
         i = 0

@@ -25,9 +25,15 @@ from pipekrylov.preconditioners import (
 )
 from pipekrylov.problems import make_identity, make_poisson, make_sinker, make_toy_diagonal
 from pipekrylov.solvers import (
+    CG_FAMILY,
+    CR_FAMILY,
+    FCG_FAMILY,
     GMRES_FAMILY,
     METHODS,
     REDUCTION_LEDGER,
+    STAGNATION_RTOL,
+    THETA_MODES,
+    TRUNCATION_STRATEGIES,
     SolverConfig,
     solve,
 )
@@ -150,8 +156,8 @@ def test_vanished_column_after_a_full_cycle_carries_both_refills(method, poisson
 
 
 def _bare_and_eager(method, A, make_pc, b, x_true, **kwargs):
-    """The same GMRES solve twice: bare, where no row reads the iterate,
-    and eager, where monitoring, x_true and an observer all read it."""
+    """The same solve twice: bare, where no row reads the iterate, and
+    eager, where monitoring, x_true and an observer all read it."""
     bare = solve(SolverConfig(method=method, monitor_true_residual=False, **kwargs),
                  A, make_pc(), b)
     eager = solve(SolverConfig(method=method, **kwargs), A, make_pc(), b,
@@ -297,21 +303,96 @@ def test_nonpositive_initial_delta_flags_row_zero(method):
 
 
 def _breakdown_runs():
-    """Runs that reach a breakdown or restart row in each of the methods."""
+    """Runs that reach a breakdown or restart row in each of the methods,
+    as (method, result, stagnation window)."""
     prob = make_toy_diagonal(100, 5.0)
     for method in METHODS:
         cfg = SolverConfig(method=method, rtol=1e-16, max_it=500, numax=100,
                            restart_len=10, stagnation_window=50)
-        yield method, solve(cfg, prob.A, NoisyPreconditioner(1e-2, seed=7), prob.b)
+        yield method, solve(cfg, prob.A, NoisyPreconditioner(1e-2, seed=7), prob.b), 50
     for method, b in (("pcg", np.ones(8)), ("fcg", np.ones(8)),
                       ("cgcg", np.array([3.0, 1.0] * 4))):
         yield method, _solve(method, INDEFINITE, IdentityPreconditioner(), b,
-                             max_it=50)
+                             max_it=50), 0
+
+
+def _stagnation_row(natural, window):
+    """The row at which the documented stagnation policy trips: the first
+    i >= window whose best natural norm so far fails to improve on the
+    best at row i - window by STAGNATION_RTOL relative; None if none does."""
+    if window == 0:
+        return None
+    best = np.minimum.accumulate(natural)
+    for i in range(window, len(best)):
+        if best[i] > (1.0 - STAGNATION_RTOL) * best[i - window]:
+            return i
+    return None
+
+
+def _assert_stagnation_policy(res, window):
+    row = _stagnation_row(res.trace.natural_history(), window)
+    if res.stop_reason == "stagnation":
+        assert row == res.iterations
+    else:
+        assert row is None or row >= res.iterations
+
+
+def test_stagnation_stops_on_the_first_row_the_policy_trips():
+    for method, res, window in _breakdown_runs():
+        _assert_stagnation_policy(res, window)
+
+
+@st.composite
+def _symmetric_system(draw):
+    """A random SPD system with a Jacobi, identity or noisy preconditioner,
+    or a symmetric indefinite diagonal with the identity preconditioner:
+    the operator, a preconditioner factory, b and the solution."""
+    n = draw(st.integers(5, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pc = draw(st.sampled_from(["jacobi", "identity", "noisy", "indefinite"]))
+    if pc == "indefinite":
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(0.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
+        b = rng.standard_normal(n)
+        return (SparseOperator.from_dense(np.diag(d), symmetric=True),
+                IdentityPreconditioner, b, b / d)
+    A, b = random_spd(n, seed)
+    make_pc = {"jacobi": lambda: JacobiPreconditioner(A),
+               "identity": IdentityPreconditioner,
+               "noisy": lambda: NoisyPreconditioner(1e-3, seed=seed)}[pc]
+    return A, make_pc, b, np.linalg.solve(A.to_dense(), b)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(system=_symmetric_system(),
+       method=st.sampled_from(CG_FAMILY + FCG_FAMILY + CR_FAMILY),
+       numax=st.integers(1, 8),
+       truncation=st.sampled_from(TRUNCATION_STRATEGIES),
+       theta_mode=st.sampled_from(THETA_MODES),
+       max_it=st.integers(1, 120),
+       window=st.sampled_from([0, 5, 20]))
+def test_symmetric_family_properties(system, method, numax, truncation, theta_mode,
+                                     max_it, window):
+    A, make_pc, b, x_true = system
+    bare, eager = _bare_and_eager(method, A, make_pc, b, x_true, numax=numax,
+                                  truncation=truncation, theta_mode=theta_mode,
+                                  max_it=max_it, stagnation_window=window)
+    assert eager.stop_reason in STOP_REASONS
+    blocking, overlapped, tags = REDUCTION_LEDGER[method]
+    if theta_mode == "exact" and method in ("pipefcg", "pipegcr", "pipegcr_w"):
+        blocking += 1               # the two dot products of the exact weighting
+    for row in eager.trace:
+        assert np.isfinite([row.rnorm_natural, row.rnorm_true, row.relerr]).all()
+        if row.iter >= 1 and not (row.breakdown or row.restarted):
+            assert (row.red_blocking, row.red_overlapped) == (blocking, overlapped)
+            assert row.overlap_tags == tags
+    _assert_stagnation_policy(eager, window)
+    _assert_same_run(bare, eager)
 
 
 def test_flagged_rows_add_one_blocking_refill_phase():
     reached = set()
-    for method, res in _breakdown_runs():
+    for method, res, _ in _breakdown_runs():
         blocking, overlapped, tags = REDUCTION_LEDGER[method]
         if method != "pipefcg_naive":
             blocking += 1           # the naive variant flushes without a refill
