@@ -35,7 +35,7 @@ from pipekrylov.preconditioners import (
     NoisyPreconditioner,
     Preconditioner,
 )
-from pipekrylov.problems import make_poisson, make_toy_diagonal
+from pipekrylov.problems import make_poisson, make_sinker, make_toy_diagonal
 from pipekrylov.solvers import METHODS, SolverConfig, solve
 from pipekrylov.traceio import write_trace_csv
 
@@ -55,6 +55,11 @@ def _poisson(pc):
 def _noisy_toy():
     prob = make_toy_diagonal(100, 5.0)
     return prob.A, lambda: NoisyPreconditioner(1e-2, seed=7), prob.b, prob.x_true
+
+
+def _sinker():
+    prob = make_sinker(32, 1e3)
+    return prob.A, lambda: JacobiPreconditioner(prob.A), prob.b, prob.x_true
 
 
 def _noisy_poisson(A):
@@ -104,6 +109,10 @@ CASES = {
     # it is a recurred image that fails the Pythagorean identity
     "vanished-column": (lambda: _poisson(lambda A: _ZeroOnCalls(A, (0, 11))),
                         dict(restart_len=10)),
+    # a diagonal from 4 to 4000, so Jacobi is not a multiple of I and the
+    # window coefficients carry weight; with the window off the case does
+    # not depend on the stagnation policy
+    "sinker-jacobi": (_sinker, dict(numax=5, stagnation_window=0)),
 }
 
 
