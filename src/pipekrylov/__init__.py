@@ -3,7 +3,7 @@ accounting, benchmark problem generators, inexact preconditioners, an
 analytic strong-scaling cost model, and a reproducible CSV trace format.
 """
 
-from .linalg import SparseOperator, axpy, dot, maxpy, norm2
+from .linalg import SparseOperator, dot, maxpy, norm2
 from .perfmodel import (
     DEFAULT_NODE_GRID,
     MODEL_METHODS,
@@ -54,7 +54,6 @@ __all__ = [
     "SparseOperator",
     "dot",
     "norm2",
-    "axpy",
     "maxpy",
     "SplitMix64",
     "ProblemInstance",

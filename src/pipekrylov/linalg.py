@@ -6,10 +6,10 @@ repeated runs on the same machine with the same BLAS thread count are
 bitwise reproducible.  ``dot`` and ``norm2`` use the BLAS, whose threaded
 sum splits the vector by thread: a different thread count rounds large
 products differently (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and
-``2`` already disagree).  The block kernels, ``mdot`` and ``maxpy`` over a
-2-D block of vectors, are one BLAS matrix-vector product (gemv) each; like
-``dot`` they round differently with a different thread count, and they
-round differently from the equivalent list of ``dot`` or ``axpy`` calls.
+``2`` already disagree).  The block kernels, ``mdot`` and ``maxpy``, take
+a 2-D block whose rows are the vectors and are one BLAS matrix-vector
+product (gemv) each; like ``dot`` they round differently with a
+different thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "dot",
     "mdot",
     "norm2",
-    "axpy",
     "maxpy",
     "SparseOperator",
 ]
@@ -52,13 +51,18 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
+def _check_block(vs, u: np.ndarray) -> None:
+    if not (isinstance(vs, np.ndarray) and vs.ndim == 2):
+        raise ValueError(f"expected a 2-D block of vectors, got {type(vs).__name__} "
+                         f"of shape {np.shape(vs)}")
+    if vs.shape[1] != u.shape[0]:
+        raise ValueError(f"vector length mismatch: {vs.shape[1]} vs {u.shape[0]}")
+
+
 def mdot(vs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inner products <vs[k], u> of every row of the 2-D block vs with u,
     as one stacked product (the multi-dot of a Gram-Schmidt projection)."""
-    if vs.ndim != 2:
-        raise ValueError(f"expected a 2-D block of vectors, got shape {vs.shape}")
-    if vs.shape[1] != u.shape[0]:
-        raise ValueError(f"vector length mismatch: {vs.shape[1]} vs {u.shape[0]}")
+    _check_block(vs, u)
     return vs @ u
 
 
@@ -67,31 +71,13 @@ def norm2(a: np.ndarray) -> float:
     return float(np.sqrt(np.dot(a, a)))
 
 
-def axpy(y: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Return y + alpha*x as a new vector."""
-    _check_same_length(y, x)
-    return y + alpha * x
-
-
-def maxpy(u: np.ndarray, coeffs, vs) -> np.ndarray:
-    """Return u + sum_k coeffs[k]*vs[k].
-
-    For a list of vectors the accumulation is a sequential axpy loop in
-    index order, bit-for-bit identical to repeated axpy calls.  For a 2-D
-    block whose rows are the vectors it is one stacked product
-    ``u + coeffs @ vs``.
-    """
-    if len(coeffs) != len(vs):
-        raise ValueError(f"coefficient/vector count mismatch: {len(coeffs)} vs {len(vs)}")
-    if isinstance(vs, np.ndarray) and vs.ndim == 2:
-        if vs.shape[1] != u.shape[0]:
-            raise ValueError(f"vector length mismatch: {u.shape[0]} vs {vs.shape[1]}")
-        return u + np.asarray(coeffs, dtype=np.float64) @ vs
-    acc = u.copy()
-    for c, v in zip(coeffs, vs):
-        _check_same_length(acc, v)
-        acc += c * v
-    return acc
+def maxpy(u: np.ndarray, coeffs, vs: np.ndarray) -> np.ndarray:
+    """Return u + sum_k coeffs[k]*vs[k] as a new vector, for the rows
+    vs[k] of the 2-D block vs, as one stacked product ``u + coeffs @ vs``."""
+    _check_block(vs, u)
+    if len(coeffs) != vs.shape[0]:
+        raise ValueError(f"coefficient/vector count mismatch: {len(coeffs)} vs {vs.shape[0]}")
+    return u + np.asarray(coeffs, dtype=np.float64) @ vs
 
 
 class SparseOperator:

@@ -13,7 +13,9 @@ phases.  The CG, FCG and minimal-residual families each have one driver
 with two switches, ``fused`` (the reductions batched into one blocking
 phase) and ``pipelined`` (that phase made overlappable); the FCG driver
 adds ``naive`` for ``pipefcg_naive``.  The windowed methods keep their
-retained directions in one :class:`~.common.DirectionWindow`.  The
+retained directions in one :class:`~.common.DirectionWindow`, a ring of
+``numax`` slots with one contiguous block per vector column; its
+coefficients come from one stacked product and run in slot order.  The
 minimal-residual driver is a restarted cycle on the skeleton's row tail
 and breakdown path.  It keeps its basis and images as rows of contiguous
 blocks, projects and updates with one stacked product each, and forms

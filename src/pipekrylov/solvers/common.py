@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..linalg import SparseOperator, dot, maxpy, norm2
+from ..linalg import SparseOperator, dot, maxpy, mdot, norm2
 from ..preconditioners import Preconditioner
 from ..rng import SplitMix64
 
@@ -213,54 +213,60 @@ def natural_norm(gamma: float, r: np.ndarray) -> float:
 
 
 class DirectionWindow:
-    """Truncated history of direction tuples ``(p, s, ..., eta)``.
+    """Truncated history of direction entries ``(p, s, ..., eta)``.
 
-    Entries are held as parallel lists of vectors, at most ``numax`` deep.
-    The second column is the operator image the conjugation coefficients
-    are taken against and the last column holds the energies ``eta``.
-    The truncation rule sizes the window from the number of directions
-    pushed since the last ``clear``.
+    A ring of ``numax`` slots allocated once (``max_it + 1`` when fewer):
+    one contiguous ``(slots, n)`` block per vector column and one array of
+    energies.  The second column is the operator image the coefficients
+    are taken against, and the truncation rule sizes the window from the
+    entries pushed since the last ``clear``.  Entry j since the ``clear``
+    goes to slot ``(j + 1) % numax``; under either rule the next window is
+    then the whole ring or one contiguous run of slots.  The coefficients
+    run in slot order: ``betas``, ``combine`` and ``energy`` index the
+    same slots.
     """
 
-    def __init__(self, cfg: SolverConfig, width: int):
+    def __init__(self, cfg: SolverConfig, columns: int, n: int):
         self._numax = cfg.numax
         self._strategy = cfg.truncation
-        self._cols: list[list] = [[] for _ in range(width)]
+        slots = min(cfg.numax, cfg.max_it + 1)
+        self._cols = tuple(np.empty((slots, n)) for _ in range(columns))
+        self._eta = np.empty(slots)
         self._built = 0
-
-    def last(self, nu: int) -> list[list]:
-        return [col[len(col) - nu:] for col in self._cols]
 
     def push(self, *entry) -> None:
-        for col, value in zip(self._cols, entry):
-            col.append(value)
-            if len(col) > self._numax:
-                del col[0]
+        """Store the vectors and the energy of one entry, copying them."""
         self._built += 1
+        slot = self._built % self._numax
+        *vectors, eta = entry
+        self._eta[slot] = eta
+        for col, v in zip(self._cols, vectors):
+            col[slot] = v
 
     def clear(self) -> None:
-        for col in self._cols:
-            col.clear()
         self._built = 0
 
-    def betas(self, v: np.ndarray) -> list[float]:
+    def _slots(self, nu: int) -> slice:
+        """The slots of the nu newest entries."""
+        start = 0 if nu == self._numax else (self._built - nu + 1) % self._numax
+        return slice(start, start + nu)
+
+    def betas(self, v: np.ndarray) -> np.ndarray:
         """Coefficients -<v, s_k>/eta_k over the window allowed for the next
         direction; their count is the window size nu."""
-        if self._built == 0:
-            return []
-        nu = min(truncation_window(self._built, self._numax, self._strategy),
-                 len(self._cols[0]))
-        S, H = self._cols[1], self._cols[-1]
-        return [-dot(v, sk) / hk for sk, hk in zip(S[len(S) - nu:], H[len(H) - nu:])]
+        nu = (truncation_window(self._built, self._numax, self._strategy)
+              if self._built else 0)
+        rows = self._slots(nu)
+        return -mdot(self._cols[1][rows], v) / self._eta[rows]
 
-    def combine(self, betas: list, *heads: np.ndarray) -> list[np.ndarray]:
+    def combine(self, betas: np.ndarray, *heads: np.ndarray) -> list[np.ndarray]:
         """heads[j] + sum_k betas[k] * column_j[k] for each leading column."""
-        return [maxpy(h, betas, col) for h, col in zip(heads, self.last(len(betas)))]
+        rows = self._slots(len(betas))
+        return [maxpy(h, betas, col[rows]) for h, col in zip(heads, self._cols)]
 
-    def energy(self, betas: list) -> float:
+    def energy(self, betas: np.ndarray) -> float:
         """sum_k betas[k]^2 eta_k, the energy the conjugation removes."""
-        H = self._cols[-1]
-        return sum(bk * bk * hk for bk, hk in zip(betas, H[len(H) - len(betas):]))
+        return float((betas * betas) @ self._eta[self._slots(len(betas))])
 
 
 def stabilized_m_update(B: Preconditioner, u_tilde: np.ndarray, w: np.ndarray,

@@ -45,7 +45,7 @@ def _reduced(nat2: float, gamma: float, eta: float):
 
 
 def _gcr(cfg, A, B, b, x0, rec):
-    win = DirectionWindow(cfg, 3)
+    win = DirectionWindow(cfg, 2, len(b))
     r = nat2 = None
 
     def refill(x):
@@ -120,7 +120,7 @@ def _pcr(cfg, A, B, b, x0, rec):
 
 
 def _pipegcr(cfg, A, B, b, x0, rec, recur_w):
-    win = DirectionWindow(cfg, 5 if recur_w else 4)
+    win = DirectionWindow(cfg, 4 if recur_w else 3, len(b))
     r = ut = w = nat2 = None
 
     def refill(x):

@@ -41,7 +41,7 @@ PIPEFCG_TAGS = frozenset({"pc", "spmv", "local"})
 
 
 def _fcg(cfg, A, B, b, x0, rec, fused, pipelined, naive=False):
-    win = DirectionWindow(cfg, 5 if pipelined else 3)
+    win = DirectionWindow(cfg, 4 if pipelined else 2, len(b))
     theta_mode = "zero" if naive else cfg.theta_mode
     r = u = w = m = n = gamma = delta = None
 

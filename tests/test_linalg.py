@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pipekrylov.linalg import SparseOperator, as_vector, axpy, dot, maxpy, mdot, norm2
+from pipekrylov.linalg import SparseOperator, as_vector, dot, maxpy, mdot, norm2
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -45,31 +45,6 @@ def test_norm2_of_3_4_vector_is_5():
     assert norm2(np.array([3.0, 4.0])) == 5.0
 
 
-def test_axpy_returns_new_vector_with_exact_value():
-    y = np.array([1.0, 2.0])
-    x = np.array([10.0, 20.0])
-    out = axpy(y, 0.5, x)
-    assert out.tolist() == [6.0, 12.0]
-    assert y.tolist() == [1.0, 2.0]
-
-
-def test_maxpy_is_bitwise_sequential_axpy():
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal(64)
-    vs = [rng.standard_normal(64) for _ in range(5)]
-    cs = rng.standard_normal(5).tolist()
-    expected = u.copy()
-    for c, v in zip(cs, vs):
-        expected = axpy(expected, c, v)
-    got = maxpy(u, cs, vs)
-    assert np.array_equal(got, expected)
-
-
-def test_maxpy_count_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        maxpy(np.zeros(3), [1.0], [])
-
-
 def _block(rows: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, n)), rng.standard_normal(n)
@@ -87,20 +62,32 @@ def test_mdot_matches_a_list_of_dots(rows, n):
 
 @pytest.mark.parametrize("rows,n", [(0, 5), (1, 5), (7, 64), (30, 1000)])
 def test_block_maxpy_matches_list_maxpy(rows, n):
+    # the list form: a sequential axpy loop over the rows, in index order
     vs, u = _block(rows, n, seed=100 + rows)
     cs = np.random.default_rng(rows).standard_normal(rows)
-    expected = maxpy(u, cs.tolist(), list(vs))
+    expected = u.copy()
+    for c, v in zip(cs.tolist(), vs):
+        expected = expected + c * v
     got = maxpy(u, cs, vs)
+    assert got is not u
     scale = np.abs(u) + np.abs(cs) @ np.abs(vs)
     assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+
+def test_maxpy_count_mismatch():
+    with pytest.raises(ValueError, match="mismatch"):
+        maxpy(np.zeros(3), [1.0], np.zeros((0, 3)))
 
 
 def test_block_kernels_reject_mismatches():
     vs, u = _block(3, 8, seed=1)
     with pytest.raises(ValueError, match="length mismatch"):
         mdot(vs, u[:7])
-    with pytest.raises(ValueError, match="2-D"):
-        mdot(u, u)
+    for not_a_block in (u, list(vs)):
+        with pytest.raises(ValueError, match="2-D"):
+            mdot(not_a_block, u)
+        with pytest.raises(ValueError, match="2-D"):
+            maxpy(u, [1.0, 2.0, 3.0], not_a_block)
     with pytest.raises(ValueError, match="count mismatch"):
         maxpy(u, [1.0, 2.0], vs)
     with pytest.raises(ValueError, match="length mismatch"):
