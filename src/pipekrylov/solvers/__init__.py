@@ -9,10 +9,13 @@ row and the breakdown path (refill, flagged row, restart or stop) under
 the stopping, stagnation and restart policy of :class:`RunControl`.  A
 method supplies only its refill, its per-iteration step and its
 per-row constants, the counts of blocking and overlappable reduction
-phases.  The CG, FCG and minimal-residual families each have one driver
-with two switches, ``fused`` (the reductions batched into one blocking
-phase) and ``pipelined`` (that phase made overlappable); the FCG driver
-adds ``naive`` for ``pipefcg_naive``.  The windowed methods keep their
+phases.  The CG family, the minimal-residual family and the windowed
+FCG and CR methods each have one driver with two switches, ``fused``
+(the reductions batched into one blocking phase) and ``pipelined`` (that
+phase made overlappable).  The windowed driver takes its products with
+u = B(r) for FCG and with w = A u for CR (``residual``); ``naive`` gives
+``pipefcg_naive`` and ``recur_w`` off gives ``pipegcr``.  ``pcr`` has no
+window and keeps its own short recurrence.  The windowed methods keep their
 retained directions in one :class:`~.common.DirectionWindow`, a ring of
 ``numax`` slots with one contiguous block per vector column; its
 coefficients come from one stacked product and run in slot order.  The
@@ -35,9 +38,8 @@ import scipy.sparse
 from ..linalg import SparseOperator, as_vector
 from ..preconditioners import Preconditioner
 from . import cg as _cg
-from . import cr as _cr
-from . import fcg as _fcg
 from . import gmres as _gmres
+from . import windowed as _windowed
 from .common import (
     CG_FAMILY,
     CR_FAMILY,
@@ -104,7 +106,7 @@ REDUCTION_LEDGER: dict[str, tuple[int, int, frozenset]] = {
     "pipefgmres": (0, 1, frozenset({"pc", "spmv"})),
 }
 
-_DRIVERS = {**_cg.DRIVERS, **_fcg.DRIVERS, **_cr.DRIVERS, **_gmres.DRIVERS}
+_DRIVERS = {**_cg.DRIVERS, **_windowed.DRIVERS, **_gmres.DRIVERS}
 
 
 def prescale_operator(A: SparseOperator) -> SparseOperator:
@@ -142,8 +144,10 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     :func:`prescale_operator` when it depends on A) and the trace reports
     scaled residuals, while the returned iterate is mapped back.
 
-    The CG and FCG families additionally assume B is linear and positive
-    (and PCR linear); this is not checked, and a violating preconditioner
+    The CG and FCG families additionally assume B is linear and positive,
+    and ``pcr`` is correct only when B is a multiple of I: with Jacobi on
+    a variable-coefficient operator it makes no progress (ROADMAP.md,
+    item 1).  This is not checked, and a violating preconditioner
     surfaces as breakdown or stagnation rather than an error.
     """
     if A.n_rows != A.n_cols:

@@ -278,20 +278,19 @@ def stabilized_m_update(B: Preconditioner, u_tilde: np.ndarray, w: np.ndarray,
     "exact" scales the projection by theta = <r, w>/<r, r>, which costs
     two extra blocking dot products and is intended as a diagnostic.
 
-    Returns (m, theta); theta is None outside exact mode.  In exact mode
-    with a zero residual theta is undefined and (None, None) is returned,
-    which callers treat as a converged signal.
+    Returns m.  In exact mode with a zero residual theta is undefined and
+    None is returned, which callers treat as a converged signal.
     """
     if mode == "zero":
-        return B.apply(w), None
+        return B.apply(w)
     if mode == "one":
-        return u_tilde + B.apply(w - r), None
+        return u_tilde + B.apply(w - r)
     if mode == "exact":
         rr = dot(r, r)
         if rr == 0.0:
-            return None, None
+            return None
         theta = dot(r, w) / rr
-        return theta * u_tilde + B.apply(w - theta * r), theta
+        return theta * u_tilde + B.apply(w - theta * r)
     raise ValueError(f"unknown theta mode {mode!r}")
 
 

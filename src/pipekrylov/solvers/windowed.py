@@ -1,0 +1,230 @@
+"""Windowed flexible CG and conjugate residual variants, one driver for
+both families, and the short-recurrence ``pcr``.
+
+Each iteration builds a new search direction from the current
+preconditioned residual u = B(r) and explicitly conjugates it against a
+window of retained directions.  The two families differ only in the
+vector v their inner products are taken with; the window coefficients
+are -<v, s_k>/eta_k, gamma = <v, r> and delta = <v, w>, all taken at the
+end of a step or in the refill:
+
+* FCG (v = u): the natural residual norm is sqrt(gamma); gamma must stay
+  positive, otherwise the run restarts from a recomputed residual.
+* GCR (``residual``, v = w = A u): the A^T A-conjugate GCR of Eisenstat,
+  Elman & Schultz (SINUM 1983).  The natural norm is the residual 2-norm,
+  whose square is updated through |r_new|^2 = |r|^2 - gamma^2 / eta;
+  loss of that identity, like a nonpositive eta, triggers a restart.
+
+Two switches give the variants of each family, as in the CG family:
+
+* ``fcg``, ``gcr``: fresh operator application per direction, two
+  blocking phases.  ``gcr`` keeps gamma = <r, A p> from the second one.
+* ``cgfcg`` (``fused``): recurred operator images and a Pythagorean
+  identity for the direction energy, one batched blocking phase.
+* ``pipefcg``, ``pipegcr_w`` (``pipelined``): also recur the auxiliary
+  pair m = B(w), n = A(m), m from the stabilized update of
+  ``cfg.theta_mode``, so the one phase overlaps the preconditioner, the
+  operator application and local vector work.  The CR refill takes m
+  from the same update, the FCG refill takes B(w).
+* ``pipegcr`` (``pipelined`` without ``recur_w``): keeps three window
+  columns and applies the operator, w = A u, the one application its
+  reduction does not overlap.
+* ``pipefcg_naive`` (``naive``): the pipelined FCG loop with m = B(w) and
+  natural norm sqrt(|gamma|).  It never resynchronizes: a sign failure
+  flushes the window on a flagged row and a non-finite scalar ends the
+  run, so preconditioner noise accumulates and convergence stalls near
+  the noise level, the stagnation the stabilized update removes.
+
+``pcr`` is the window-free two-term recurrence of CR, with two blocking
+phases of one dot product each; it assumes B is a multiple of I.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import partial
+
+import numpy as np
+
+from ..linalg import dot, norm2
+from .common import (
+    NO_TAGS,
+    DirectionWindow,
+    Driver,
+    accepted_row,
+    natural_norm,
+    positive,
+    stabilized_m_update,
+)
+
+PIPELINED_TAGS = frozenset({"pc", "spmv", "local"})
+PIPEGCR_TAGS = frozenset({"pc", "local"})
+
+
+def _reduced(nat2: float, gamma: float, eta: float):
+    """|r_new|^2 = |r|^2 - gamma^2/eta, or None once the identity fails."""
+    nat2_new = nat2 - gamma * gamma / eta
+    return nat2_new if nat2_new >= 0.0 and math.isfinite(nat2_new) else None
+
+
+def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
+              recur_w=True, naive=False):
+    win = DirectionWindow(cfg, (4 if recur_w else 3) if pipelined else 2, len(b))
+    theta_mode = "zero" if naive else cfg.theta_mode
+    r = u = w = m = n = gamma = delta = nat2 = None
+
+    def couple(mode):
+        """gamma, delta and the pipelined pair for the current r, u and w;
+        False when the exact weighting is undefined (r vanished)."""
+        nonlocal gamma, delta, m, n
+        v = w if residual else u
+        if fused or not residual:
+            gamma = dot(v, r)                   # the last (fcg) or only phase
+        if fused:
+            delta = dot(v, w)                   # pipelined, hidden by:
+        if pipelined:
+            m = stabilized_m_update(B, u, w, r, mode)
+            if m is None:
+                return False
+            if recur_w:
+                n = A.apply(m)
+        return True
+
+    def refill(x):
+        nonlocal r, u, w, nat2
+        if naive and gamma is not None:
+            # the naive variant never resynchronizes: a non-finite scalar
+            # ends the run
+            return math.nan, False, {}
+        r = b - A.apply(x)
+        u = B.apply(r)
+        if fused or residual:
+            w = A.apply(u)
+        # the CR refill keeps the stabilized m, the FCG refill takes B(w)
+        couple(theta_mode if residual else "zero")
+        win.clear()
+        if residual:
+            natural = norm2(r)
+            nat2 = natural * natural
+            return natural, True, {"r": r, "u": u}
+        return natural_norm(gamma, r), positive(gamma), {"r": r, "u": u}
+
+    def step(x):
+        nonlocal r, u, w, gamma, nat2
+        betas = win.betas(w if residual else u)
+        nu = len(betas)
+        if fused:
+            # one head per window column: 2 (cgfcg), 3 (pipegcr) or 4
+            dirs = win.combine(betas, u, w, m, n)
+        else:
+            p = win.combine(betas, u)[0]
+            dirs = [p, A.apply(p)]
+        p, s = dirs[:2]
+        if fused:
+            eta = delta - win.energy(betas)
+        else:
+            if residual:
+                gamma = dot(r, s)
+            eta = dot(s if residual else p, s)  # fcg: phase 1
+        if naive and eta == 0.0:
+            # flush the window on a row flagged breakdown and restarted
+            win.clear()
+            return x, (math.sqrt(abs(gamma)), nu, {"r": r, "u": u}, None, True, True)
+        if not (math.isfinite(eta) if naive else positive(eta)):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        if residual:
+            nat2 = _reduced(nat2, gamma, eta)
+            if nat2 is None:
+                return x, None
+        win.push(*dirs, eta)
+        if pipelined:
+            u = u - alpha * dirs[2]
+            w = w - alpha * dirs[3] if recur_w else A.apply(u)
+        else:
+            u = B.apply(r)
+            if fused or residual:
+                w = A.apply(u)
+        if not couple(theta_mode):
+            return x, (0.0, nu, {"r": r, "u": u})
+        if residual:
+            return x, accepted_row(nat2, nu, r, u, p, s, eta)
+        if naive:
+            if not (math.isfinite(gamma) and math.isfinite(delta)):
+                return x, None
+            flush = gamma <= 0.0 or eta < 0.0
+            if flush:
+                win.clear()
+            return x, accepted_row(abs(gamma), nu, r, u, p, s, eta) + (flush, flush)
+        if not positive(gamma):
+            return x, None
+        return x, accepted_row(gamma, nu, r, u, p, s, eta)
+
+    if pipelined:
+        blocking = 1 if theta_mode == "exact" else 0
+        drv = Driver(cfg, rec, blocking, 1, PIPELINED_TAGS if recur_w else PIPEGCR_TAGS)
+    else:
+        drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
+    return drv.run(x0.copy(), refill, step)
+
+
+def _pcr(cfg, A, B, b, x0, rec):
+    """Two-term CR recurrence, valid only when B is a multiple of I.
+
+    It pairs gamma = <r, A B(r)> with eta = <s, s>, which is not a CR
+    inner product for any other B.  On sinker n=32 (contrast 1e3) with
+    Jacobi and the stagnation window off it reaches ``max_it`` 1500 at
+    true relative residual 1.0, where ``gcr`` reaches ``rtol`` in 149
+    rows.
+    """
+    r = p = s = nat2 = gamma_prev = fresh = None
+
+    def refill(x):
+        nonlocal r, p, s, nat2, fresh
+        r = b - A.apply(x)
+        natural = norm2(r)
+        nat2 = natural * natural
+        p, s = np.zeros_like(b), np.zeros_like(b)
+        fresh = True
+        return natural, True, {"r": r}
+
+    def step(x):
+        nonlocal r, p, s, nat2, gamma_prev, fresh
+        u = B.apply(r)
+        w = A.apply(u)
+        gamma = dot(r, w)                       # blocking phase 1
+        if not (math.isfinite(gamma) and gamma != 0.0):
+            return x, None
+        beta = 0.0 if fresh else gamma / gamma_prev
+        p = u + beta * p
+        s = w + beta * s
+        eta = dot(s, s)                         # blocking phase 2
+        if not positive(eta):
+            return x, None
+        alpha = gamma / eta
+        x = x + alpha * p
+        r = r - alpha * s
+        nat2_new = _reduced(nat2, gamma, eta)
+        if nat2_new is None:
+            return x, None
+        nat2 = nat2_new
+        gamma_prev = gamma
+        nu, fresh = 0 if fresh else 1, False
+        return x, accepted_row(nat2, nu, r, u, p, s, eta)
+
+    return Driver(cfg, rec, 2, 0, NO_TAGS).run(x0.copy(), refill, step)
+
+
+DRIVERS = {
+    "fcg": partial(_windowed, fused=False, pipelined=False),
+    "cgfcg": partial(_windowed, fused=True, pipelined=False),
+    "pipefcg_naive": partial(_windowed, fused=True, pipelined=True, naive=True),
+    "pipefcg": partial(_windowed, fused=True, pipelined=True),
+    "gcr": partial(_windowed, fused=False, pipelined=False, residual=True),
+    "pcr": _pcr,
+    "pipegcr": partial(_windowed, fused=True, pipelined=True, residual=True,
+                       recur_w=False),
+    "pipegcr_w": partial(_windowed, fused=True, pipelined=True, residual=True),
+}

@@ -261,6 +261,36 @@ def test_pipefcg_exact_theta_costs_one_blocking_phase(poisson16):
     assert all(row.red_blocking == 1 and row.red_overlapped == 1 for row in steady)
 
 
+@pytest.mark.parametrize("method", ["pipefcg", "pipegcr", "pipegcr_w"])
+def test_exact_weighting_stops_when_the_residual_vanishes(method):
+    # A = B = I: the first step lands on the solution, r is exactly zero,
+    # and theta = <r, w>/<r, r> is undefined
+    prob = make_identity(20)
+    res = _solve(method, prob.A, IdentityPreconditioner(), prob.b,
+                 theta_mode="exact")
+    assert (res.stop_reason, res.iterations) == ("rtol", 1)
+    row = res.trace[1]
+    assert row.rnorm_natural == 0.0
+    if method == "pipefcg":
+        assert not (row.breakdown or row.restarted)
+        assert (row.red_blocking, row.red_overlapped) == (1, 1)
+
+
+@pytest.mark.parametrize("method", ["fcg", "cgfcg", "gcr"])
+def test_state_events_carry_the_preconditioned_residual(method, poisson16):
+    B = JacobiPreconditioner(poisson16.A)
+    events = []
+    res = solve(SolverConfig(method=method, max_it=200), poisson16.A, B,
+                poisson16.b, observer=collector(events))
+    assert res.converged
+    states = [(i, p) for event, i, p in events if event == "state"]
+    accepted = {row.iter for row in res.trace if not row.breakdown}
+    assert [i for i, _ in states] == [row.iter for row in res.trace]
+    for i, payload in states:
+        if i in accepted:
+            assert np.array_equal(payload["u"], B.apply(payload["r"])), i
+
+
 def test_symmetric_only_methods_reject_general_operators(poisson16):
     A = SparseOperator.from_scipy(poisson16.A.csr, symmetric=False)
     B = IdentityPreconditioner()
