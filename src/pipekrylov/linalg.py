@@ -9,16 +9,21 @@ products differently (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and
 ``2`` already disagree).  The block kernels, ``mdot`` and ``maxpy``, take
 a 2-D block whose rows are the vectors and are one BLAS matrix-vector
 product (gemv) each; like ``dot`` they round differently with a
-different thread count.
+different thread count.  ``blocks`` allocates the 2-D blocks a solve
+keeps, so that the solve's peak memory does not depend on what the
+process freed before it.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "as_vector",
+    "blocks",
     "dot",
     "mdot",
     "norm2",
@@ -69,6 +74,28 @@ def mdot(vs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def norm2(a: np.ndarray) -> float:
     """Euclidean norm sqrt(<a, a>)."""
     return float(np.sqrt(np.dot(a, a)))
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (OSError, AttributeError):             # not glibc: nothing to trim
+    _malloc_trim = None
+
+
+def blocks(count: int, rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """``count`` uninitialised ``(rows, n)`` float64 blocks for one solve.
+
+    A block of a few MB does not fit the holes that earlier work leaves in
+    the C heap.  glibc then either maps it fresh, leaving those freed but
+    resident holes unused, or carves it from the heap, depending on that
+    history, so the peak resident memory of the same solve moved by the
+    size of a block between identical runs.  The heap's free pages go back
+    to the system first (glibc's ``malloc_trim``), so each block adds its
+    own size to the resident set whatever ran before.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    return tuple(np.empty((rows, n)) for _ in range(count))
 
 
 def maxpy(u: np.ndarray, coeffs, vs: np.ndarray) -> np.ndarray:

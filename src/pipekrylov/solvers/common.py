@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..linalg import SparseOperator, dot, maxpy, mdot, norm2
+from ..linalg import SparseOperator, blocks, dot, maxpy, mdot, norm2
 from ..preconditioners import Preconditioner
 from ..rng import SplitMix64
 
@@ -230,7 +230,7 @@ class DirectionWindow:
         self._numax = cfg.numax
         self._strategy = cfg.truncation
         slots = min(cfg.numax, cfg.max_it + 1)
-        self._cols = tuple(np.empty((slots, n)) for _ in range(columns))
+        self._cols = blocks(columns, slots, n)
         self._eta = np.empty(slots)
         self._built = 0
 

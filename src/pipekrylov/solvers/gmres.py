@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..linalg import dot, maxpy, mdot, norm2
+from ..linalg import blocks, dot, maxpy, mdot, norm2
 from .common import NO_TAGS, UNRECOVERABLE, Driver
 
 PIPEFGMRES_TAGS = frozenset({"pc", "spmv"})
@@ -85,9 +85,8 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
     sigma = cfg.sigma if fused else 0.0
     mlen = cfg.restart_len
     eager = rec.reads_iterate
-    V = np.empty((mlen, b.shape[0]))
-    U = np.empty_like(V)
-    AU = np.empty_like(V) if pipelined else None
+    V, U, AU = (blocks(3, mlen, b.shape[0]) if pipelined
+                else blocks(2, mlen, b.shape[0]) + (None,))
     x = x0.copy()
     r = b - A.apply(x)
     beta = norm2(r)

@@ -6,11 +6,14 @@ recomputations of the same quantity.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pipekrylov.linalg import SparseOperator, as_vector, dot, maxpy, mdot, norm2
+from pipekrylov import linalg
+from pipekrylov.linalg import SparseOperator, as_vector, blocks, dot, maxpy, mdot, norm2
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -92,6 +95,28 @@ def test_block_kernels_reject_mismatches():
         maxpy(u, [1.0, 2.0], vs)
     with pytest.raises(ValueError, match="length mismatch"):
         maxpy(u[:7], [1.0, 2.0, 3.0], vs)
+
+
+def _resident_mb() -> float:
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    raise OSError("no VmRSS line")
+
+
+def test_blocks_return_the_freed_heap_first():
+    if linalg._malloc_trim is None or not os.path.exists("/proc/self/status"):
+        pytest.skip("needs glibc and /proc")
+    # 48 MiB of 64 KiB heap chunks (below glibc's 128 KiB mmap threshold);
+    # keeping every eighth one, the last included, leaves 42 MiB of freed
+    # but resident holes that trimming the top of the heap cannot reach
+    chunks = [np.ones(8192) for _ in range(768)]
+    before = _resident_mb()
+    kept = chunks[7::8]
+    del chunks
+    blocks(1, 1, 1)
+    assert len(kept) == 96 and _resident_mb() < before - 20.0
 
 
 def _toy_matrix() -> SparseOperator:
