@@ -6,12 +6,12 @@ repeated runs on the same machine with the same BLAS thread count are
 bitwise reproducible.  ``dot`` and ``norm2`` use the BLAS, whose threaded
 sum splits the vector by thread: a different thread count rounds large
 products differently (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and
-``2`` already disagree).  The block kernels, ``mdot`` and ``maxpy``, take
-a 2-D block whose rows are the vectors and are one BLAS matrix-vector
-product (gemv) each; like ``dot`` they round differently with a
-different thread count.  ``blocks`` allocates the 2-D blocks a solve
-keeps, so that the solve's peak memory does not depend on what the
-process freed before it.
+``2`` already disagree).  The block kernels are one BLAS matrix-vector
+product (gemv) each, rounding differently with a different thread count:
+``mdot`` and ``maxpy`` over the rows of a 2-D block, ``stacked_maxpy``
+over a 3-D ``(rows, columns, n)`` block as one ``(rows, columns·n)``
+matrix, strided views included, without a copy.  ``blocks`` allocates
+a solve's one block, so that earlier frees do not move its peak memory.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "mdot",
     "norm2",
     "maxpy",
+    "stacked_maxpy",
     "SparseOperator",
 ]
 
@@ -82,20 +83,20 @@ except (OSError, AttributeError):             # not glibc: nothing to trim
     _malloc_trim = None
 
 
-def blocks(count: int, rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """``count`` uninitialised ``(rows, n)`` float64 blocks for one solve.
+def blocks(rows: int, columns: int, n: int) -> np.ndarray:
+    """One uninitialised ``(rows, columns, n)`` float64 block for one solve.
 
     A block of a few MB does not fit the holes that earlier work leaves in
     the C heap.  glibc then either maps it fresh, leaving those freed but
     resident holes unused, or carves it from the heap, depending on that
     history, so the peak resident memory of the same solve moved by the
     size of a block between identical runs.  The heap's free pages go back
-    to the system first (glibc's ``malloc_trim``), so each block adds its
+    to the system first (glibc's ``malloc_trim``), so the block adds its
     own size to the resident set whatever ran before.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
-    return tuple(np.empty((rows, n)) for _ in range(count))
+    return np.empty((rows, columns, n))
 
 
 def maxpy(u: np.ndarray, coeffs, vs: np.ndarray) -> np.ndarray:
@@ -105,6 +106,29 @@ def maxpy(u: np.ndarray, coeffs, vs: np.ndarray) -> np.ndarray:
     if len(coeffs) != vs.shape[0]:
         raise ValueError(f"coefficient/vector count mismatch: {len(coeffs)} vs {vs.shape[0]}")
     return u + np.asarray(coeffs, dtype=np.float64) @ vs
+
+
+def stacked_maxpy(heads, coeffs, vs: np.ndarray, out=None) -> np.ndarray:
+    """Rows heads[j] + sum_k coeffs[k]*vs[k, j] for every column j of the
+    3-D block vs: one product over its ``(rows, columns·n)`` view, then an
+    in-place add per head.  The result is a fresh ``(columns, n)`` array,
+    or ``out``, a C-contiguous one that does not overlap vs."""
+    if not (isinstance(vs, np.ndarray) and vs.ndim == 3):
+        raise ValueError(f"expected a 3-D block of vectors, got {type(vs).__name__} "
+                         f"of shape {np.shape(vs)}")
+    rows, columns, n = vs.shape
+    if len(heads) != columns:
+        raise ValueError(f"head/column count mismatch: {len(heads)} vs {columns}")
+    if any(h.shape != (n,) for h in heads):
+        raise ValueError(f"vector length mismatch: {n} vs {[h.shape for h in heads]}")
+    if len(coeffs) != rows:
+        raise ValueError(f"coefficient/vector count mismatch: {len(coeffs)} vs {rows}")
+    flat = np.matmul(np.asarray(coeffs, dtype=np.float64), vs.reshape(rows, columns * n),
+                     out=None if out is None else out.reshape(columns * n))
+    result = flat.reshape(columns, n)
+    for row, h in zip(result, heads):
+        row += h
+    return result
 
 
 class SparseOperator:

@@ -17,11 +17,11 @@ u = B(r) for FCG and with w = A u for CR (``residual``); ``naive`` gives
 ``pipefcg_naive`` and ``recur_w`` off gives ``pipegcr``.  ``pcr`` has no
 window and keeps its own short recurrence.  The windowed methods keep their
 retained directions in one :class:`~.common.DirectionWindow`, a ring of
-``numax`` slots with one contiguous block per vector column; its
-coefficients come from one stacked product and run in slot order.  The
+``numax`` slots in one block, a slot's vectors side by side; its
+coefficients and its new directions are one stacked product each.  The
 minimal-residual driver is a restarted cycle on the skeleton's row tail
-and breakdown path.  It keeps its basis and images as rows of contiguous
-blocks, projects and updates with one stacked product each, and forms
+and breakdown path.  It keeps its basis and images side by side in the
+rows of one block, projects and updates with one product each, and forms
 the iterate only on rows the recorder reads
 (:attr:`~.common.TraceRecorder.reads_iterate`), at the
 end of a cycle, on a breakdown and on exit.

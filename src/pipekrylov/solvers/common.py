@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..linalg import SparseOperator, blocks, dot, maxpy, mdot, norm2
+from ..linalg import SparseOperator, blocks, dot, mdot, norm2, stacked_maxpy
 from ..preconditioners import Preconditioner
 from ..rng import SplitMix64
 
@@ -216,21 +216,21 @@ class DirectionWindow:
     """Truncated history of direction entries ``(p, s, ..., eta)``.
 
     A ring of ``numax`` slots allocated once (``max_it + 1`` when fewer):
-    one contiguous ``(slots, n)`` block per vector column and one array of
-    energies.  The second column is the operator image the coefficients
-    are taken against, and the truncation rule sizes the window from the
-    entries pushed since the last ``clear``.  Entry j since the ``clear``
-    goes to slot ``(j + 1) % numax``; under either rule the next window is
-    then the whole ring or one contiguous run of slots.  The coefficients
-    run in slot order: ``betas``, ``combine`` and ``energy`` index the
-    same slots.
+    one ``(slots, columns, n)`` block, a slot's vectors side by side, and
+    an array of energies.  The second column is the operator image the
+    coefficients are taken against; the truncation rule sizes the window
+    from the entries pushed since the last ``clear``.  Entry j since the
+    ``clear`` goes to slot ``(j + 1) % numax``, so the next window is the
+    whole ring or one contiguous run of slots under either rule, and
+    ``combine`` is one product over it.  The coefficients run in slot
+    order: ``betas``, ``combine`` and ``energy`` index the same slots.
     """
 
     def __init__(self, cfg: SolverConfig, columns: int, n: int):
         self._numax = cfg.numax
         self._strategy = cfg.truncation
         slots = min(cfg.numax, cfg.max_it + 1)
-        self._cols = blocks(columns, slots, n)
+        self._ring = blocks(slots, columns, n)
         self._eta = np.empty(slots)
         self._built = 0
 
@@ -240,8 +240,8 @@ class DirectionWindow:
         slot = self._built % self._numax
         *vectors, eta = entry
         self._eta[slot] = eta
-        for col, v in zip(self._cols, vectors):
-            col[slot] = v
+        for col, v in enumerate(vectors):
+            self._ring[slot, col] = v
 
     def clear(self) -> None:
         self._built = 0
@@ -257,12 +257,12 @@ class DirectionWindow:
         nu = (truncation_window(self._built, self._numax, self._strategy)
               if self._built else 0)
         rows = self._slots(nu)
-        return -mdot(self._cols[1][rows], v) / self._eta[rows]
+        return -mdot(self._ring[rows, 1], v) / self._eta[rows]
 
-    def combine(self, betas: np.ndarray, *heads: np.ndarray) -> list[np.ndarray]:
-        """heads[j] + sum_k betas[k] * column_j[k] for each leading column."""
+    def combine(self, betas: np.ndarray, *heads: np.ndarray) -> np.ndarray:
+        """Fresh rows heads[j] + sum_k betas[k] * column_j[k], one per head."""
         rows = self._slots(len(betas))
-        return [maxpy(h, betas, col[rows]) for h, col in zip(heads, self._cols)]
+        return stacked_maxpy(heads, betas, self._ring[rows, :len(heads)])
 
     def energy(self, betas: np.ndarray) -> float:
         """sum_k betas[k]^2 eta_k, the energy the conjugation removes."""

@@ -3,12 +3,12 @@
 Each cycle builds an orthonormal residual basis V, the flexible
 (preconditioned) images U, and a least-squares system solved through
 Givens rotations; the natural residual norm is the magnitude of the
-rotated right-hand-side tail.  V and U are rows of (restart_len, n)
-blocks allocated once per solve, so column k projects
-z = A·U[k-1] - sigma*V[k-1] onto V in one stacked product and every
-update is one product with a block.  The iterate x_cycle + U y is formed
-only where it is read: on every row when the recorder reads it, at the
-end of a full cycle, on a breakdown and on every exit.
+rotated right-hand-side tail.  Row k of one (restart_len, 2|3, n) block,
+allocated once per solve, holds V[k] and U[k] side by side; column k
+projects z = A·U[k-1] - sigma*V[k-1] onto V in one stacked product, and
+each update is one product with the block.  The iterate x_cycle + U y is
+formed only where it is read: on every row when the recorder reads it,
+at the end of a full cycle, on a breakdown and on every exit.
 
 * ``fgmres``: classical Gram-Schmidt (sigma = 0); the batched projection
   dots and the norm of the reduced column form two blocking phases.
@@ -16,8 +16,8 @@ end of a full cycle, on a breakdown and on every exit.
   blocking phase, with the new column norm obtained from a Pythagorean
   identity; the shift sigma keeps that identity well conditioned.
 * ``pipefgmres``: the same fused reduction made overlappable by recurring
-  U and A·U, a third block, from images computed one iteration ahead.
-  The other two keep only the newest image A·U[k-1].
+  U and A·U (the third column) one iteration ahead: one product over the
+  rows before k gives row k.  The others keep only the newest A·U[k-1].
 
 A failed identity or a vanished rotated column ends the cycle early: the
 iterate is finalized, the residual refilled, and the cycle restarts.
@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..linalg import blocks, dot, maxpy, mdot, norm2
+from ..linalg import blocks, dot, maxpy, mdot, norm2, stacked_maxpy
 from .common import NO_TAGS, UNRECOVERABLE, Driver
 
 PIPEFGMRES_TAGS = frozenset({"pc", "spmv"})
@@ -85,8 +85,8 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
     sigma = cfg.sigma if fused else 0.0
     mlen = cfg.restart_len
     eager = rec.reads_iterate
-    V, U, AU = (blocks(3, mlen, b.shape[0]) if pipelined
-                else blocks(2, mlen, b.shape[0]) + (None,))
+    cycle = blocks(mlen, 3 if pipelined else 2, b.shape[0])
+    V, U = cycle[:, 0], cycle[:, 1]
     x = x0.copy()
     r = b - A.apply(x)
     beta = norm2(r)
@@ -105,8 +105,8 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
                 # pipefgmres recurs the images of every later column
                 U[k] = B.apply(V[k])
                 au = A.apply(U[k])
-            if pipelined:
-                AU[k] = au
+                if pipelined:
+                    cycle[0, 2] = au
             z = au - sigma * V[k]
             if pipelined:
                 qb = B.apply(z)
@@ -149,13 +149,13 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
                 return (ls.iterate(x_cycle, U, k),) + done[1:]
             if k == mlen:
                 continue                # the cycle is full: refill below
-            if fused:
-                zbar = maxpy(z, coeffs, V[:k])
-            V[k] = zbar / hsub
-            rec.observe("basis", i, v=V[k])
             if pipelined:
-                U[k] = maxpy(qb, coeffs, U[:k]) / hsub
-                au = maxpy(wb, coeffs, AU[:k]) / hsub
+                stacked_maxpy((z, qb, wb), coeffs, cycle[:k], out=cycle[k])
+                cycle[k] /= hsub
+                au = cycle[k, 2]
+            else:
+                V[k] = (maxpy(z, coeffs, V[:k]) if fused else zbar) / hsub
+            rec.observe("basis", i, v=V[k])
         else:
             # a full cycle: its residual refill is carried by the next
             # cycle's first row; an exact or non-finite refill ends the run

@@ -69,7 +69,8 @@ def _reduced(nat2: float, gamma: float, eta: float):
 
 def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
               recur_w=True, naive=False):
-    win = DirectionWindow(cfg, (4 if recur_w else 3) if pipelined else 2, len(b))
+    width = (4 if recur_w else 3) if pipelined else 2
+    win = DirectionWindow(cfg, width, len(b))
     theta_mode = "zero" if naive else cfg.theta_mode
     r = u = w = m = n = gamma = delta = nat2 = None
 
@@ -114,8 +115,7 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         betas = win.betas(w if residual else u)
         nu = len(betas)
         if fused:
-            # one head per window column: 2 (cgfcg), 3 (pipegcr) or 4
-            dirs = win.combine(betas, u, w, m, n)
+            dirs = win.combine(betas, *(u, w, m, n)[:width])  # one per column
         else:
             p = win.combine(betas, u)[0]
             dirs = [p, A.apply(p)]

@@ -13,7 +13,16 @@ import pytest
 import scipy.sparse as sp
 
 from pipekrylov import linalg
-from pipekrylov.linalg import SparseOperator, as_vector, blocks, dot, maxpy, mdot, norm2
+from pipekrylov.linalg import (
+    SparseOperator,
+    as_vector,
+    blocks,
+    dot,
+    maxpy,
+    mdot,
+    norm2,
+    stacked_maxpy,
+)
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -97,6 +106,67 @@ def test_block_kernels_reject_mismatches():
         maxpy(u[:7], [1.0, 2.0, 3.0], vs)
 
 
+@pytest.mark.parametrize("columns", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_stacked_maxpy_matches_a_maxpy_per_column(rows, columns):
+    rng = np.random.default_rng(10 * rows + columns)
+    block = rng.standard_normal((rows, columns, 64))
+    heads = list(rng.standard_normal((columns, 64)))
+    cs = rng.standard_normal(rows)
+    got = stacked_maxpy(heads, cs, block)
+    assert got.shape == (columns, 64)
+    assert not np.shares_memory(got, block)
+    assert not any(np.shares_memory(got, h) for h in heads)
+    for j, head in enumerate(heads):
+        expected = maxpy(head, cs, block[:, j])
+        scale = np.abs(head) + np.abs(cs) @ np.abs(block[:, j])
+        assert np.all(np.abs(got[j] - expected) <= 1e-13 * scale)
+
+
+def test_stacked_maxpy_on_a_strided_column_prefix():
+    # the leading columns of a run of rows are one (rows, columns*n) view
+    # with row stride 4n, which is not copied on the way to the BLAS
+    rng = np.random.default_rng(7)
+    ring = rng.standard_normal((6, 4, 32))
+    cs = rng.standard_normal(3)
+    for width in (1, 2):
+        prefix = ring[1:4, :width]
+        assert np.shares_memory(prefix.reshape(3, width * 32), ring)
+        heads = list(rng.standard_normal((width, 32)))
+        got = stacked_maxpy(heads, cs, prefix)
+        assert not np.shares_memory(got, ring)
+        expected = stacked_maxpy(heads, cs, np.ascontiguousarray(prefix))
+        scale = np.abs(heads) + np.einsum("k,kjn->jn", np.abs(cs), np.abs(prefix))
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+
+def test_stacked_maxpy_writes_into_a_row_it_does_not_read():
+    rng = np.random.default_rng(8)
+    cycle = rng.standard_normal((5, 3, 16))
+    heads = list(rng.standard_normal((3, 16)))
+    cs = rng.standard_normal(3)
+    expected = stacked_maxpy(heads, cs, cycle[:3])
+    got = stacked_maxpy(heads, cs, cycle[:3], out=cycle[3])
+    assert np.shares_memory(got, cycle[3])
+    assert np.array_equal(cycle[3], expected)
+
+
+def test_stacked_maxpy_rejects_mismatches():
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal((2, 3, 8))
+    heads = list(rng.standard_normal((3, 8)))
+    with pytest.raises(ValueError, match="head/column count mismatch"):
+        stacked_maxpy(heads[:2], [1.0, 2.0], block)
+    with pytest.raises(ValueError, match="head/column count mismatch"):
+        stacked_maxpy(heads + heads[:1], [1.0, 2.0], block)
+    with pytest.raises(ValueError, match="length mismatch"):
+        stacked_maxpy([heads[0], heads[1], heads[2][:7]], [1.0, 2.0], block)
+    with pytest.raises(ValueError, match="count mismatch"):
+        stacked_maxpy(heads, [1.0], block)
+    with pytest.raises(ValueError, match="3-D"):
+        stacked_maxpy(heads[:1], [1.0, 2.0], block[:, 0])
+
+
 def _resident_mb() -> float:
     with open("/proc/self/status", encoding="ascii") as status:
         for line in status:
@@ -115,7 +185,7 @@ def test_blocks_return_the_freed_heap_first():
     before = _resident_mb()
     kept = chunks[7::8]
     del chunks
-    blocks(1, 1, 1)
+    assert blocks(2, 3, 1).shape == (2, 3, 1)
     assert len(kept) == 96 and _resident_mb() < before - 20.0
 
 

@@ -63,39 +63,46 @@ def test_truncation_validation():
 @pytest.mark.parametrize("numax", [1, 2, 3, 5])
 @pytest.mark.parametrize("truncation", ["notay_mod", "standard"])
 def test_direction_window_matches_a_list_reference(numax, truncation):
-    # The reference keeps entries (p, s, q, z, eta) in a plain list, oldest
+    # The reference keeps entries (p, s, ..., eta) in a plain list, oldest
     # first.  The window's coefficients run in slot order, so the check
     # compares the sums they form, which do not depend on that order.
-    cfg = SolverConfig(method="pipefcg", numax=numax, truncation=truncation)
-    columns, n = 4, 7
-    rng = np.random.default_rng(10 * numax + len(truncation))
-    win = DirectionWindow(cfg, columns, n)
-    ref: list[tuple] = []
-    built = 0
-    for push in range(6 * numax + 2):
-        if push == 3 * numax + 1:
-            win.clear()
-            ref, built = [], 0
-        v = rng.standard_normal(n)
-        heads = list(rng.standard_normal((columns, n)))
-        betas = win.betas(v)
-        nu = min(truncation_window(built, numax, truncation), len(ref)) if built else 0
-        assert len(betas) == nu
-        window = ref[len(ref) - nu:]
-        ref_betas = [-dot(v, e[1]) / e[-1] for e in window]
-        combined = win.combine(betas, *heads)
-        assert len(combined) == columns
-        for col, (head, got) in enumerate(zip(heads, combined)):
-            terms = [b * e[col] for b, e in zip(ref_betas, window)]
-            scale = np.abs(head) + sum(np.abs(t) for t in terms)
-            assert np.all(np.abs(got - (head + sum(terms))) <= 1e-13 * scale)
-        assert len(win.combine(betas, heads[0])) == 1
-        energies = [b * b * e[-1] for b, e in zip(ref_betas, window)]
-        assert abs(win.energy(betas) - sum(energies)) <= 1e-13 * sum(energies)
-        entry = (*rng.standard_normal((columns, n)), rng.uniform(0.5, 2.0))
-        win.push(*entry)
-        ref = (ref + [entry])[-numax:]
-        built += 1
+    # Windows of 2, 3 and 4 columns are those of cgfcg, pipegcr and pipefcg.
+    n = 7
+    for method, columns in (("cgfcg", 2), ("pipegcr", 3), ("pipefcg", 4)):
+        cfg = SolverConfig(method=method, numax=numax, truncation=truncation)
+        rng = np.random.default_rng(10 * numax + len(truncation) + columns)
+        win = DirectionWindow(cfg, columns, n)
+        ref: list[tuple] = []
+        built = 0
+        for push in range(6 * numax + 2):
+            if push == 3 * numax + 1:
+                win.clear()
+                ref, built = [], 0
+            v = rng.standard_normal(n)
+            heads = list(rng.standard_normal((columns, n)))
+            betas = win.betas(v)
+            nu = min(truncation_window(built, numax, truncation), len(ref)) if built else 0
+            assert len(betas) == nu
+            window = ref[len(ref) - nu:]
+            ref_betas = [-dot(v, e[1]) / e[-1] for e in window]
+            combined = win.combine(betas, *heads)
+            assert len(combined) == columns
+            for col, (head, got) in enumerate(zip(heads, combined)):
+                terms = [b * e[col] for b, e in zip(ref_betas, window)]
+                scale = np.abs(head) + sum(np.abs(t) for t in terms)
+                assert np.all(np.abs(got - (head + sum(terms))) <= 1e-13 * scale)
+            assert len(win.combine(betas, heads[0])) == 1
+            with pytest.raises(ValueError, match="head/column count"):
+                win.combine(betas, *heads, heads[0])
+            energies = [b * b * e[-1] for b, e in zip(ref_betas, window)]
+            assert abs(win.energy(betas) - sum(energies)) <= 1e-13 * sum(energies)
+            kept = combined.copy()
+            entry = (*rng.standard_normal((columns, n)), rng.uniform(0.5, 2.0))
+            win.push(*entry)
+            # the combined vectors are fresh: the push does not reach them
+            assert np.array_equal(combined, kept)
+            ref = (ref + [entry])[-numax:]
+            built += 1
 
 
 def test_stabilized_update_modes_agree_for_linear_preconditioner():
