@@ -36,6 +36,7 @@ from pipekrylov.preconditioners import (
     Preconditioner,
 )
 from pipekrylov.problems import make_poisson, make_sinker, make_toy_diagonal
+from pipekrylov.rng import SplitMix64
 from pipekrylov.solvers import METHODS, SolverConfig, solve
 from pipekrylov.traceio import write_trace_csv
 
@@ -60,6 +61,13 @@ def _noisy_toy():
 def _sinker():
     prob = make_sinker(32, 1e3)
     return prob.A, lambda: JacobiPreconditioner(prob.A), prob.b, prob.x_true
+
+
+def _permuted_poisson():
+    prob = make_poisson(2, 32, seed=0)
+    perm = np.argsort(SplitMix64(11).uniform01(prob.b.shape[0]), kind="stable")
+    A = SparseOperator.from_scipy(prob.A.csr[perm][:, perm], symmetric=True)
+    return A, lambda: JacobiPreconditioner(A), prob.b[perm], prob.x_true[perm]
 
 
 def _noisy_poisson(A):
@@ -113,6 +121,10 @@ CASES = {
     # window coefficients carry weight; with the window off the case does
     # not depend on the stagnation policy
     "sinker-jacobi": (_sinker, dict(numax=5, stagnation_window=0)),
+    # the same Poisson system under a seeded symmetric permutation: its
+    # entries scatter over hundreds of diagonals, so the operator is
+    # applied in compressed-row form
+    "poisson-permuted": (_permuted_poisson, {}),
 }
 
 
