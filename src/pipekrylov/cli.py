@@ -318,8 +318,10 @@ def _exit_code(result: SolveResult, strict: bool) -> int:
     return 0
 
 
-def _run_one(values: dict, method: str) -> SolveResult:
-    problem, A = _build_operator(values)
+def _run_one(values: dict, method: str, problem: ProblemInstance,
+             A: SparseOperator) -> SolveResult:
+    """Solve with a fresh preconditioner, so that a seeded one (``noisy``)
+    starts its stream again for every method."""
     cfg = _solver_config(values, method)
     try:
         B = _build_pc(values, prescale_operator(A) if cfg.prescale else A)
@@ -331,7 +333,7 @@ def _run_one(values: dict, method: str) -> SolveResult:
 
 def _cmd_solve(values: dict) -> int:
     method = _require(values, "solver")
-    result = _run_one(values, method)
+    result = _run_one(values, method, *_build_operator(values))
     if values["out"] is not None:
         write_trace_csv(values["out"], result.trace)
     print(_summary_line(method, result))
@@ -353,10 +355,11 @@ def _method_list(raw: str, key: str) -> list[str]:
 
 def _cmd_compare(values: dict) -> int:
     methods = _method_list(_require(values, "methods"), "methods")
+    problem, A = _build_operator(values)
     status = 0
     runs = []
     for method in methods:
-        result = _run_one(values, method)
+        result = _run_one(values, method, problem, A)
         runs.append((method, result.trace))
         print(_summary_line(method, result))
         status = max(status, _exit_code(result, values["strict"]))

@@ -85,7 +85,7 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
              + sp.kron(sp.kron(eye, eye), T))
     op = SparseOperator.from_scipy(A, symmetric=True)
     x_true = SplitMix64(seed).uniform01(n ** dims)
-    b = op.apply(x_true)
+    b = op.csr @ x_true
     return ProblemInstance(op, b, x_true,
                            f"poisson{dims}d(n={n},seed={seed})")
 

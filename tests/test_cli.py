@@ -23,6 +23,7 @@ from pipekrylov.traceio import (
     read_compare_csv,
     read_perfmodel_csv,
     read_trace_csv,
+    write_compare_csv,
     write_trace_csv,
 )
 
@@ -192,6 +193,27 @@ def test_compare_single_method_matches_solve_rows(tmp_path, capsys):
     runs = read_compare_csv(merged)
     assert len(runs) == 1 and runs[0][0] == "pcg"
     assert list(runs[0][1]) == list(trace)
+
+
+def test_compare_csv_equals_the_per_method_solve_traces(tmp_path, capsys):
+    # compare builds the problem once and a fresh noisy preconditioner per
+    # method, whose stream starts again: each method's rows are the bytes
+    # its own solve writes
+    common = ["--problem", "poisson2d", "--n", "12", "--pc", "noisy", "--eta", "1e-3",
+              "--seed", "5", "--rtol", "1e-10", "--max-it", "300"]
+    methods = ["pcg", "pipefcg", "gcr", "pipefgmres", "fcg"]
+    merged = tmp_path / "merged.csv"
+    assert main(["compare", *common, "--methods", ",".join(methods),
+                 "--out", str(merged)]) == 0
+    runs = []
+    for method in methods:
+        solo = str(tmp_path / f"{method}.csv")
+        assert main(["solve", *common, "--solver", method, "--out", solo]) == 0
+        runs.append((method, read_trace_csv(solo)))
+    capsys.readouterr()
+    expected = io.StringIO()
+    write_compare_csv(expected, runs)
+    assert merged.read_text(encoding="utf-8") == expected.getvalue()
 
 
 def test_probe_reports_the_noise_magnitude(capsys):

@@ -7,13 +7,17 @@ recomputations of the same quantity.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipekrylov import linalg
 from pipekrylov.linalg import (
+    DIAGONAL_FILL_MAX,
     SparseOperator,
     as_vector,
     blocks,
@@ -23,6 +27,8 @@ from pipekrylov.linalg import (
     norm2,
     stacked_maxpy,
 )
+from pipekrylov.problems import make_identity, make_poisson, make_sinker, make_toy_diagonal
+from pipekrylov.rng import SplitMix64
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -281,3 +287,95 @@ def test_nonfinite_entries_rejected():
 
 def test_repr_names_shape_and_flag():
     assert repr(_toy_matrix()) == "SparseOperator(3x3, nnz=7, symmetric)"
+
+
+# signed zeros, subnormals and small normals among the drawn values
+_EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2e-308, 1.0, -3.0])
+
+
+def _values(rng, count: int) -> np.ndarray:
+    """Finite values of mixed sign and magnitude, so that summing them in
+    another order rounds differently, a fifth of them taken from _EDGE."""
+    v = rng.standard_normal(count) * 10.0 ** rng.integers(-3, 4, count)
+    edge = rng.random(count) < 0.2
+    v[edge] = rng.choice(_EDGE, int(edge.sum()))
+    return v
+
+
+@st.composite
+def _banded_operator(draw):
+    """A random CSR operator of any rectangular shape on a few diagonals,
+    with a fifth of each diagonal's positions left out (so rows can be
+    empty) and explicit zeros among the stored values."""
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 12))
+    offsets = draw(st.sets(st.integers(-(n_rows - 1), n_cols - 1), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stored = np.zeros((n_rows, n_cols), dtype=bool)
+    for k in offsets:
+        i = np.arange(max(0, -k), min(n_rows, n_cols - k))
+        i = i[rng.random(len(i)) < 0.8]
+        stored[i, i + k] = True
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    op = SparseOperator(n_rows, n_cols, indptr, cols, _values(rng, len(cols)))
+    return op, _values(rng, n_cols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_banded_operator())
+def test_diagonal_product_equals_the_csr_product_bytewise(case):
+    op, x = case
+    # with the bound lifted every operator with an entry takes the diagonal form
+    with mock.patch.object(linalg, "DIAGONAL_FILL_MAX", op.n_rows * op.n_cols):
+        assert op.product.format == ("dia" if op.nnz else "csr")
+        assert op.apply(x).tobytes() == op.csr.dot(x).tobytes()
+
+
+def _permuted_poisson() -> SparseOperator:
+    csr = make_poisson(2, 16).A.csr
+    perm = np.argsort(SplitMix64(11).uniform01(csr.shape[0]), kind="stable")
+    return SparseOperator.from_scipy(csr[perm][:, perm], symmetric=True)
+
+
+@pytest.mark.parametrize("build,form", [
+    (lambda: make_poisson(2, 16).A, "dia"),
+    (lambda: make_poisson(3, 6).A, "dia"),
+    (lambda: make_sinker(16, 1e3).A, "dia"),
+    (lambda: make_toy_diagonal(50, 10.0).A, "dia"),
+    (lambda: make_identity(7).A, "dia"),
+    (_permuted_poisson, "csr"),
+    (lambda: SparseOperator(3, 3, [0, 0, 0, 0], [], []), "csr"),
+    # 2 stored entries on a diagonal of 4 sit at the bound, 1 entry above it
+    (lambda: SparseOperator(4, 4, [0, 1, 2, 2, 2], [0, 1], [1.0, 2.0]), "dia"),
+    (lambda: SparseOperator(4, 4, [0, 1, 1, 1, 1], [0], [1.0]), "csr"),
+])
+def test_product_form_follows_the_fill_bound(build, form):
+    assert DIAGONAL_FILL_MAX == 2
+    op = build()
+    assert op.product.format == form
+    x = np.random.default_rng(op.n_cols).standard_normal(op.n_cols)
+    assert op.apply(x).tobytes() == op.csr.dot(x).tobytes()
+
+
+def test_diagonal_form_is_built_on_the_first_apply_only():
+    built = []
+
+    def counting(csr):
+        built.append(csr.shape)
+        return diagonal_form(csr)
+
+    diagonal_form = linalg._diagonal_form
+    with mock.patch.object(linalg, "_diagonal_form", counting):
+        prob = make_poisson(2, 8)
+        assert built == []
+        for _ in range(3):
+            prob.A.apply(prob.x_true)
+        assert built == [(64, 64)]
+
+
+def test_operator_arrays_are_the_csr_arrays():
+    op = make_poisson(2, 8).A
+    assert op.indptr is op.csr.indptr
+    assert op.indices is op.csr.indices
+    assert op.data is op.csr.data
