@@ -185,6 +185,22 @@ def _diagonal_form(csr: sp.csr_matrix):
     return sp.dia_matrix((values, np.flatnonzero(present) - (n_rows - 1)), shape=csr.shape)
 
 
+def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
+    """D^-1/2 A D^-1/2 for the diagonal D of A, which must be positive."""
+    d = A.diagonal()
+    if not np.all(d > 0.0):
+        raise ValueError("prescale requires a strictly positive diagonal")
+    isq = 1.0 / np.sqrt(d)
+    S = sp.diags(isq)
+    M = S @ A.csr @ S
+    if A.symmetric:
+        # the two-sided scaling rounds (isq[i]*a)*isq[j] and
+        # (isq[j]*a)*isq[i] differently; average the transpose pair so
+        # the scaled operator stays exactly symmetric
+        M = (M + M.T) * 0.5
+    return SparseOperator.from_scipy(M, symmetric=A.symmetric)
+
+
 class SparseOperator:
     """Compressed-row sparse operator with an explicit symmetry flag.
 
@@ -199,7 +215,7 @@ class SparseOperator:
     matrix otherwise.  On a finite vector both give the same bits (see the
     module docstring); on one holding inf or NaN the diagonal form can
     return NaN in more rows.  The diagonal form is built on the first
-    ``apply`` and kept.
+    ``apply`` and kept, and so is the Jacobi-scaled operator ``scaled``.
     """
 
     def __init__(self, n_rows: int, n_cols: int, indptr, indices, data,
@@ -234,6 +250,7 @@ class SparseOperator:
         self.indices = self._csr.indices
         self.data = self._csr.data
         self._product = None                  # built on the first apply
+        self._scaled = None                   # built on first use
         if symmetric:
             if n_rows != n_cols:
                 raise ValueError("symmetric flag requires a square operator")
@@ -272,6 +289,15 @@ class SparseOperator:
             dia = _diagonal_form(self._csr)
             self._product = self._csr if dia is None else dia
         return self._product
+
+    @property
+    def scaled(self) -> "SparseOperator":
+        """The symmetric Jacobi scaling D^-1/2 A D^-1/2, built on first use
+        and kept, so that a prescaled solve and a preconditioner built from
+        it share one operator and one diagonal form."""
+        if self._scaled is None:
+            self._scaled = _jacobi_scaled(self)
+        return self._scaled
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product y_i = sum_j A_ij x_j, each row summed in

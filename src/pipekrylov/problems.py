@@ -2,7 +2,8 @@
 
 Every generator is a pure function of its arguments (plus an explicit
 seed where randomness is involved), so identical calls yield bitwise
-identical instances.
+identical instances.  Each operator is assembled once, from its
+diagonals or its entries, with no intermediate sparse products.
 """
 
 from __future__ import annotations
@@ -59,30 +60,36 @@ def make_toy_diagonal(n: int, cond: float) -> ProblemInstance:
     return ProblemInstance(A, b, x_true, f"toy-diag(n={n},cond={cond:g})")
 
 
-def _laplacian_1d(n: int) -> sp.csr_matrix:
-    return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
-                    offsets=[-1, 0, 1], format="csr")
-
-
 def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
     """Finite-difference Laplacian: 5-point stencil in 2-D, 7-point in 3-D.
 
     Dirichlet boundaries are folded into the matrix.  The manufactured
     solution has seeded uniform entries in [0, 1) and b = A x_true.
+
+    The operator is built from its 2·dims + 1 diagonals in one step: the
+    main diagonal 2·dims and, per axis, -1 at offsets ±n**axis, zeroed
+    where the neighbour lies across a grid line and then dropped.  It
+    stores the same arrays as the sum of Kronecker products
+    T⊗I + I⊗T (and the 3-D analogue) of the 1-D Laplacian T, without
+    building them, except at n = 2, where scipy's product keeps explicit
+    zeros that this build does not store.
     """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")
     if n_per_side < 2:
         raise ValueError("need at least 2 points per side")
     n = n_per_side
-    T = _laplacian_1d(n)
-    eye = sp.identity(n, format="csr")
-    if dims == 2:
-        A = sp.kron(T, eye) + sp.kron(eye, T)
-    else:
-        A = (sp.kron(sp.kron(T, eye), eye)
-             + sp.kron(sp.kron(eye, T), eye)
-             + sp.kron(sp.kron(eye, eye), T))
+    N = n ** dims
+    offsets, diagonals = [0], [np.full(N, 2.0 * dims)]
+    for axis in range(dims):
+        stride = n ** axis
+        coupling = np.full(N - stride, -1.0)
+        # point p couples to p + stride unless it ends its grid line
+        coupling[np.arange(N - stride) // stride % n == n - 1] = 0.0
+        offsets += [-stride, stride]
+        diagonals += [coupling, coupling]
+    A = sp.diags(diagonals, offsets, shape=(N, N), format="csr")
+    A.eliminate_zeros()
     op = SparseOperator.from_scipy(A, symmetric=True)
     x_true = SplitMix64(seed).uniform01(n ** dims)
     b = op.csr @ x_true

@@ -33,7 +33,6 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse
 
 from ..linalg import SparseOperator, as_vector
 from ..preconditioners import Preconditioner
@@ -112,19 +111,9 @@ _DRIVERS = {**_cg.DRIVERS, **_windowed.DRIVERS, **_gmres.DRIVERS}
 def prescale_operator(A: SparseOperator) -> SparseOperator:
     """Symmetric Jacobi scaling D^-1/2 A D^-1/2, as ``solve`` applies it
     when ``cfg.prescale`` is set; build a preconditioner that depends on
-    A from this operator."""
-    d = A.diagonal()
-    if not np.all(d > 0.0):
-        raise ValueError("prescale requires a strictly positive diagonal")
-    isq = 1.0 / np.sqrt(d)
-    S = scipy.sparse.diags(isq)
-    M = S @ A.csr @ S
-    if A.symmetric:
-        # the two-sided scaling rounds (isq[i]*a)*isq[j] and
-        # (isq[j]*a)*isq[i] differently; average the transpose pair so
-        # the scaled operator stays exactly symmetric
-        M = (M + M.T) * 0.5
-    return SparseOperator.from_scipy(M, symmetric=A.symmetric)
+    A from this operator.  It is :attr:`SparseOperator.scaled`, built once
+    per operator, so every call returns the same operator."""
+    return A.scaled
 
 
 def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,

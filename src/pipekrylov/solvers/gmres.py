@@ -10,6 +10,16 @@ each update is one product with the block.  The iterate x_cycle + U y is
 formed only where it is read: on every row when the recorder reads it,
 at the end of a full cycle, on a breakdown and on every exit.
 
+With sigma = 0 (always for ``fgmres``, by default for the other two) the
+column takes z = A·U[k-1] itself, with no shift pass.  That is bitwise
+equal to subtracting 0·V[k-1]: x - (±0) differs from x only for x = -0,
+and A·U[k-1] never holds -0.  It is an SpMV output, summed from +0, or in
+``pipefgmres`` a recurred row whose last addend is an SpMV output, divided
+by the positive column norm, which gives -0 only by underflowing past the
+smallest subnormal.  On a non-finite V[k-1], 0·inf would put a NaN where z
+keeps a finite entry.  The Givens rotations run on Python floats, the same
+IEEE operations as on numpy scalars at a fraction of the call cost.
+
 * ``fgmres``: classical Gram-Schmidt (sigma = 0); the batched projection
   dots and the norm of the reduced column form two blocking phases.
 * ``cgfgmres``: the projection and the squared norm of z batch into one
@@ -29,7 +39,6 @@ import math
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..linalg import blocks, dot, maxpy, mdot, norm2, stacked_maxpy
 from .common import NO_TAGS, UNRECOVERABLE, Driver
@@ -44,12 +53,13 @@ class _LeastSquares:
         self.R = np.zeros((mlen + 1, mlen))
         self.g = np.zeros(mlen + 1)
         self.g[0] = beta
-        self.cs = np.zeros(mlen)
-        self.sn = np.zeros(mlen)
+        self.cs = [0.0] * mlen
+        self.sn = [0.0] * mlen
 
-    def rotate(self, col: np.ndarray, k: int) -> float:
-        """Apply the previous rotations to column k; returns the length d
-        that the new rotation folds into the diagonal."""
+    def rotate(self, col: list, k: int) -> float:
+        """Apply the previous rotations to column k, a list of floats, in
+        place; returns the length d that the new rotation folds into the
+        diagonal."""
         cs, sn = self.cs, self.sn
         for j in range(k - 1):
             t = cs[j] * col[j] + sn[j] * col[j + 1]
@@ -57,7 +67,7 @@ class _LeastSquares:
             col[j] = t
         return math.hypot(col[k - 1], col[k])
 
-    def append(self, col: np.ndarray, k: int, d: float) -> float:
+    def append(self, col: list, k: int, d: float) -> float:
         """Store rotated column k (d > 0); returns the new natural norm."""
         cs, sn, g = self.cs, self.sn, self.g
         cs[k - 1] = col[k - 1] / d
@@ -73,6 +83,10 @@ class _LeastSquares:
         """The cycle's minimal-residual iterate over its first k columns."""
         if k == 0:
             return x_cycle
+        # imported on the first iterate, not with the module: scipy.linalg
+        # takes about 0.1 s to import and maps a second OpenBLAS runtime,
+        # which a process that runs no GMRES cycle need not pay for
+        from scipy.linalg import solve_triangular
         y = solve_triangular(self.R[:k, :k], self.g[:k], lower=False)
         return maxpy(x_cycle, y, U[:k])
 
@@ -107,7 +121,7 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
                 au = A.apply(U[k])
                 if pipelined:
                     cycle[0, 2] = au
-            z = au - sigma * V[k]
+            z = au - sigma * V[k] if sigma else au
             if pipelined:
                 qb = B.apply(z)
                 wb = A.apply(qb)
@@ -125,7 +139,8 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
                 failed = False
             d = 0.0
             if not failed:
-                col = np.append(hb, hsub)
+                col = hb.tolist()
+                col.append(hsub)
                 col[k - 1] += sigma
                 d = ls.rotate(col, k)
                 if not math.isfinite(d):

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from pipekrylov import linalg
 from pipekrylov.cli import main
 from pipekrylov.preconditioners import JacobiPreconditioner
 from pipekrylov.problems import make_sinker
@@ -276,3 +277,43 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert "fcg: converged=1" in proc.stdout
     assert read_trace_csv(out)[0].iter == 0
+
+
+def test_scipy_linalg_loads_with_the_first_gmres_iterate():
+    # the least-squares solve of a GMRES cycle is the only user of
+    # scipy.linalg, whose import maps a second OpenBLAS runtime
+    script = "\n".join([
+        "import sys",
+        "from pipekrylov.cli import main",
+        "assert 'scipy.linalg' not in sys.modules",
+        "argv = ['solve', '--problem', 'poisson2d', '--n', '8', '--pc', 'jacobi']",
+        "assert main(argv + ['--solver', 'pcg']) == 0",
+        "assert 'scipy.linalg' not in sys.modules",
+        "assert main(argv + ['--solver', 'fgmres']) == 0",
+        "assert 'scipy.linalg' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("converged=1") == 2
+
+
+@pytest.mark.parametrize("pc", ["jacobi", "nested-krylov"])
+def test_compare_builds_one_scaled_operator(pc, tmp_path, capsys, monkeypatch):
+    scaled, converted = [], []
+
+    def counting(build, log):
+        def wrapper(arg):
+            log.append(arg)
+            return build(arg)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_jacobi_scaled", counting(linalg._jacobi_scaled, scaled))
+    monkeypatch.setattr(linalg, "_diagonal_form", counting(linalg._diagonal_form, converted))
+    assert main(["compare", "--problem", "poisson2d", "--n", "16", "--prescale", "true",
+                 "--pc", pc, "--methods", "pcg,fcg,gcr", "--rtol", "1e-8",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert capsys.readouterr().out.count("converged=1") == 3
+    assert len(scaled) == 1
+    # the scaled operator's diagonal form is the only one: the unscaled
+    # operator is never applied
+    assert len(converted) == 1

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pipekrylov.linalg import SparseOperator
 from pipekrylov.problems import (
     make_identity,
     make_poisson,
     make_sinker,
     make_toy_diagonal,
 )
+from pipekrylov.rng import SplitMix64
 
 
 def _laplacian_eigs_1d(n: int) -> np.ndarray:
@@ -90,6 +92,42 @@ def test_poisson_validation():
         make_poisson(4, 5)
     with pytest.raises(ValueError, match="2 points"):
         make_poisson(2, 1)
+
+
+def _kron_poisson(dims: int, n: int):
+    """The Laplacian as a sum of Kronecker products of the 1-D one."""
+    T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                 offsets=[-1, 0, 1], format="csr")
+    eye = sp.identity(n, format="csr")
+    if dims == 2:
+        A = sp.kron(T, eye) + sp.kron(eye, T)
+    else:
+        A = (sp.kron(sp.kron(T, eye), eye) + sp.kron(sp.kron(eye, T), eye)
+             + sp.kron(sp.kron(eye, eye), T))
+    op = SparseOperator.from_scipy(A, symmetric=True)
+    x_true = SplitMix64(0).uniform01(n ** dims)
+    return op, x_true, op.csr @ x_true
+
+
+@pytest.mark.parametrize("dims,n", [(d, n) for d in (2, 3) for n in range(3, 13)]
+                         + [(2, 128), (3, 40)])
+def test_poisson_stores_the_kronecker_sum_bytewise(dims, n):
+    prob = make_poisson(dims, n)
+    op, x_true, b = _kron_poisson(dims, n)
+    for built, ref in ((prob.A.indptr, op.indptr), (prob.A.indices, op.indices),
+                       (prob.A.data, op.data), (prob.x_true, x_true), (prob.b, b)):
+        assert built.dtype == ref.dtype
+        assert built.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_poisson_at_two_points_stores_no_zeros(dims):
+    prob = make_poisson(dims, 2)
+    op, x_true, b = _kron_poisson(dims, 2)
+    assert np.count_nonzero(prob.A.data == 0.0) == 0
+    # the Kronecker product keeps explicit zeros here; the matrices agree
+    assert np.array_equal(prob.A.to_dense(), op.to_dense())
+    assert prob.b.tobytes() == b.tobytes()
 
 
 def test_sinker_with_unit_contrast_is_the_poisson_operator():

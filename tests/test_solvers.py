@@ -9,6 +9,7 @@ and dense solves for final-error checks.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from pipekrylov.solvers import (
     SolverConfig,
     solve,
 )
+from pipekrylov.solvers.gmres import _LeastSquares
 from pipekrylov.traceio import write_trace_csv
 
 from conftest import collector, random_spd
@@ -108,6 +110,30 @@ def test_gmres_restart_cycles_are_flagged_and_still_converge(poisson16):
     assert res.converged
     restarts = [row.iter for row in res.trace if row.restarted]
     assert restarts, "expected at least one restart row"
+
+
+def test_givens_rotations_on_floats_match_numpy_scalars():
+    # the rotation loop runs on Python floats; on numpy float64 scalars
+    # the same loop gives the same bits
+    rng = np.random.default_rng(5)
+    mlen = 30
+    ls = _LeastSquares(mlen, 1.0)
+    cs, sn = np.zeros(mlen), np.zeros(mlen)
+    for k in range(1, mlen + 1):
+        col = rng.standard_normal(k + 1) * 10.0 ** rng.integers(-8, 9, k + 1)
+        ref = col.copy()
+        for j in range(k - 1):
+            t = cs[j] * ref[j] + sn[j] * ref[j + 1]
+            ref[j + 1] = -sn[j] * ref[j] + cs[j] * ref[j + 1]
+            ref[j] = t
+        d_ref = math.hypot(ref[k - 1], ref[k])
+        rotated = col.tolist()
+        d = ls.rotate(rotated, k)
+        assert np.array(rotated).tobytes() == ref.tobytes()
+        assert d == d_ref
+        ls.append(rotated, k, d)
+        cs[k - 1], sn[k - 1] = ref[k - 1] / d_ref, ref[k] / d_ref
+        assert (ls.cs[k - 1], ls.sn[k - 1]) == (cs[k - 1], sn[k - 1])
 
 
 class _ZeroOnCall(Preconditioner):
