@@ -9,14 +9,16 @@ row and the breakdown path (refill, flagged row, restart or stop) under
 the stopping, stagnation and restart policy of :class:`RunControl`.  A
 method supplies only its refill, its per-iteration step and its
 per-row constants, the counts of blocking and overlappable reduction
-phases.  The CG family, the minimal-residual family and the windowed
-FCG and CR methods each have one driver with two switches, ``fused``
-(the reductions batched into one blocking phase) and ``pipelined`` (that
+phases.  Two loops serve 13 of the 14 methods: the windowed driver runs
+the CG, FCG and CR families except ``pcr``, and the minimal-residual
+family runs a restarted cycle.  Each has two switches, ``fused`` (the
+reductions batched into one blocking phase) and ``pipelined`` (that
 phase made overlappable).  The windowed driver takes its products with
 u = B(r) for FCG and with w = A u for CR (``residual``); ``naive`` gives
-``pipefcg_naive`` and ``recur_w`` off gives ``pipegcr``.  ``pcr`` has no
-window and keeps its own short recurrence.  The windowed methods keep their
-retained directions in one :class:`~.common.DirectionWindow`, a ring of
+``pipefcg_naive``, ``recur_w`` off gives ``pipegcr``, and ``short`` gives
+the CG family, a Fletcher-Reeves two-term recurrence with no window.
+``pcr`` keeps its own short recurrence.  The FCG and CR methods keep
+their retained directions in one :class:`~.common.DirectionWindow`, a ring of
 ``numax`` slots in one block, a slot's vectors side by side; its
 coefficients and its new directions are one stacked product each.  The
 minimal-residual driver is a restarted cycle on the skeleton's row tail
@@ -36,7 +38,6 @@ import numpy as np
 
 from ..linalg import SparseOperator, as_vector
 from ..preconditioners import Preconditioner
-from . import cg as _cg
 from . import gmres as _gmres
 from . import windowed as _windowed
 from .common import (
@@ -105,7 +106,7 @@ REDUCTION_LEDGER: dict[str, tuple[int, int, frozenset]] = {
     "pipefgmres": (0, 1, frozenset({"pc", "spmv"})),
 }
 
-_DRIVERS = {**_cg.DRIVERS, **_windowed.DRIVERS, **_gmres.DRIVERS}
+_DRIVERS = {**_windowed.DRIVERS, **_gmres.DRIVERS}
 
 
 def prescale_operator(A: SparseOperator) -> SparseOperator:

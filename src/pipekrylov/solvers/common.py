@@ -72,9 +72,9 @@ class SolverConfig:
     variants (``fgmres`` ignores it); setting ``sigma_auto_power`` to k > 0
     replaces it with a k-step power-iteration estimate of the largest
     preconditioned eigenvalue.  ``theta_mode`` is the stabilized update of
-    m in ``pipefcg``, ``pipegcr`` and ``pipegcr_w``; ``pipefcg_naive``
-    always uses the unstabilized B(w).  ``stagnation_window = 0`` disables
-    stagnation detection.
+    m in ``pipefcg``, ``pipegcr`` and ``pipegcr_w``; ``pipecg`` and
+    ``pipefcg_naive`` always use the unstabilized B(w).
+    ``stagnation_window = 0`` disables stagnation detection.
     """
 
     method: str
@@ -461,6 +461,9 @@ class Driver:
                 done = self.recover(i, x, *refill(x))
             else:
                 done = self.accept(i, x, *row)
+            # drop the row's vectors, so the next step frees each old
+            # vector as it replaces it
+            del row
         return done or (x, False, i, "max_it")
 
     def start(self, x, natural, ok: bool, state: dict):

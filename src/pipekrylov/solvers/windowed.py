@@ -1,31 +1,41 @@
-"""Windowed flexible CG and conjugate residual variants, one driver for
-both families, and the short-recurrence ``pcr``.
+"""The CG, flexible CG and conjugate residual variants on one driver, and
+the short-recurrence ``pcr``.
 
 Each iteration builds a new search direction from the current
-preconditioned residual u = B(r) and explicitly conjugates it against a
-window of retained directions.  The two families differ only in the
-vector v their inner products are taken with; the window coefficients
-are -<v, s_k>/eta_k, gamma = <v, r> and delta = <v, w>, all taken at the
-end of a step or in the refill:
+preconditioned residual u = B(r).  The families differ in the vector v
+their inner products are taken with and in how a direction is
+conjugated; gamma = <v, r> and delta = <v, w> are taken at the end of a
+step or in the refill:
 
-* FCG (v = u): the natural residual norm is sqrt(gamma); gamma must stay
-  positive, otherwise the run restarts from a recomputed residual.
-* GCR (``residual``, v = w = A u): the A^T A-conjugate GCR of Eisenstat,
-  Elman & Schultz (SINUM 1983).  The natural norm is the residual 2-norm,
-  whose square is updated through |r_new|^2 = |r|^2 - gamma^2 / eta;
-  loss of that identity, like a nonpositive eta, triggers a restart.
+* FCG (v = u): each direction is explicitly conjugated against a window
+  of retained directions, with coefficients -<v, s_k>/eta_k.  The
+  natural residual norm is sqrt(gamma); gamma must stay positive,
+  otherwise the run restarts from a recomputed residual.
+* GCR (``residual``, v = w = A u): the same window, A^T A-conjugate, the
+  GCR of Eisenstat, Elman & Schultz (SINUM 1983).  The natural norm is
+  the residual 2-norm, whose square is updated through
+  |r_new|^2 = |r|^2 - gamma^2 / eta; loss of that identity, like a
+  nonpositive eta, triggers a restart.
+* CG (``short``, v = u): no window.  The coefficient is the
+  Fletcher-Reeves beta = gamma/gamma_prev, each direction column is the
+  two-term update head + beta * previous column, and the fused energy is
+  eta = delta - beta^2 eta_prev.  The natural norm is sqrt(gamma), as in
+  FCG, and the fused refill also needs delta > 0.
 
-Two switches give the variants of each family, as in the CG family:
+Two switches give the variants of each family:
 
-* ``fcg``, ``gcr``: fresh operator application per direction, two
-  blocking phases.  ``gcr`` keeps gamma = <r, A p> from the second one.
-* ``cgfcg`` (``fused``): recurred operator images and a Pythagorean
-  identity for the direction energy, one batched blocking phase.
-* ``pipefcg``, ``pipegcr_w`` (``pipelined``): also recur the auxiliary
-  pair m = B(w), n = A(m), m from the stabilized update of
-  ``cfg.theta_mode``, so the one phase overlaps the preconditioner, the
-  operator application and local vector work.  The CR refill takes m
-  from the same update, the FCG refill takes B(w).
+* ``pcg``, ``fcg``, ``gcr``: fresh operator application per direction,
+  two blocking phases.  ``gcr`` keeps gamma = <r, A p> from the second
+  one.
+* ``cgcg``, ``cgfcg`` (``fused``): recurred operator images and a
+  Pythagorean identity for the direction energy, one batched blocking
+  phase.
+* ``pipecg``, ``pipefcg``, ``pipegcr_w`` (``pipelined``): also recur the
+  auxiliary pair m = B(w), n = A(m), so the one phase overlaps the
+  preconditioner and the operator application.  ``pipecg`` always takes
+  m = B(w).  The flexible methods take m from the stabilized update of
+  ``cfg.theta_mode`` and overlap local vector work as well; the CR refill
+  takes m from the same update, the FCG refill takes B(w).
 * ``pipegcr`` (``pipelined`` without ``recur_w``): keeps three window
   columns and applies the operator, w = A u, the one application its
   reduction does not overlap.
@@ -57,6 +67,7 @@ from .common import (
     stabilized_m_update,
 )
 
+PIPECG_TAGS = frozenset({"pc", "spmv"})
 PIPELINED_TAGS = frozenset({"pc", "spmv", "local"})
 PIPEGCR_TAGS = frozenset({"pc", "local"})
 
@@ -68,11 +79,13 @@ def _reduced(nat2: float, gamma: float, eta: float):
 
 
 def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
-              recur_w=True, naive=False):
+              recur_w=True, naive=False, short=False):
     width = (4 if recur_w else 3) if pipelined else 2
-    win = DirectionWindow(cfg, width, len(b))
-    theta_mode = "zero" if naive else cfg.theta_mode
+    win = None if short else DirectionWindow(cfg, width, len(b))
+    theta_mode = "zero" if naive or short else cfg.theta_mode
     r = u = w = m = n = gamma = delta = nat2 = None
+    # short: gamma, eta and direction columns of the previous step
+    gamma_prev, eta_prev, prev = None, 0.0, None
 
     def couple(mode):
         """gamma, delta and the pipelined pair for the current r, u and w;
@@ -92,7 +105,7 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         return True
 
     def refill(x):
-        nonlocal r, u, w, nat2
+        nonlocal r, u, w, nat2, prev
         if naive and gamma is not None:
             # the naive variant never resynchronizes: a non-finite scalar
             # ends the run
@@ -101,27 +114,42 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         u = B.apply(r)
         if fused or residual:
             w = A.apply(u)
-        # the CR refill keeps the stabilized m, the FCG refill takes B(w)
+        # the CR refill keeps the stabilized m, the FCG and CG refills take B(w)
         couple(theta_mode if residual else "zero")
-        win.clear()
+        if short:
+            prev = None
+        else:
+            win.clear()
         if residual:
             natural = norm2(r)
             nat2 = natural * natural
             return natural, True, {"r": r, "u": u}
-        return natural_norm(gamma, r), positive(gamma), {"r": r, "u": u}
+        # a nonpositive delta breaks the first step; CG flags it on this row
+        ok = positive(gamma) and (not (short and fused) or positive(delta))
+        return natural_norm(gamma, r), ok, {"r": r, "u": u}
 
     def step(x):
-        nonlocal r, u, w, gamma, nat2
-        betas = win.betas(w if residual else u)
-        nu = len(betas)
-        if fused:
-            dirs = win.combine(betas, *(u, w, m, n)[:width])  # one per column
+        nonlocal r, u, w, gamma, nat2, gamma_prev, eta_prev, prev
+        heads = (u, w, m, n)[:width] if fused else (u,)
+        if short and prev is None:
+            nu, beta, dirs = 0, 0.0, list(heads)
+        elif short:
+            # Fletcher-Reeves: beta = gamma/gamma_prev, one direction back.
+            # Each column replaces its predecessor as soon as it is formed,
+            # as in p = u + beta p, so that fewer vectors stay live
+            nu, beta, dirs = 1, gamma / gamma_prev, prev
+            for j in range(len(heads)):
+                dirs[j] = heads[j] + beta * dirs[j]
         else:
-            p = win.combine(betas, u)[0]
-            dirs = [p, A.apply(p)]
+            betas = win.betas(w if residual else u)
+            nu = len(betas)
+            dirs = list(win.combine(betas, *heads))     # one per column
+        del heads       # so the old u, w, m and n are freed as they are replaced
+        if not fused:
+            dirs.append(A.apply(dirs[0]))
         p, s = dirs[:2]
         if fused:
-            eta = delta - win.energy(betas)
+            eta = delta - (beta * beta * eta_prev if short else win.energy(betas))
         else:
             if residual:
                 gamma = dot(r, s)
@@ -139,7 +167,10 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
             nat2 = _reduced(nat2, gamma, eta)
             if nat2 is None:
                 return x, None
-        win.push(*dirs, eta)
+        if short:
+            gamma_prev, eta_prev, prev = gamma, eta, dirs if fused else dirs[:1]
+        else:
+            win.push(*dirs, eta)
         if pipelined:
             u = u - alpha * dirs[2]
             w = w - alpha * dirs[3] if recur_w else A.apply(u)
@@ -164,7 +195,8 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
 
     if pipelined:
         blocking = 1 if theta_mode == "exact" else 0
-        drv = Driver(cfg, rec, blocking, 1, PIPELINED_TAGS if recur_w else PIPEGCR_TAGS)
+        tags = PIPECG_TAGS if short else PIPELINED_TAGS if recur_w else PIPEGCR_TAGS
+        drv = Driver(cfg, rec, blocking, 1, tags)
     else:
         drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
     return drv.run(x0.copy(), refill, step)
@@ -218,6 +250,9 @@ def _pcr(cfg, A, B, b, x0, rec):
 
 
 DRIVERS = {
+    "pcg": partial(_windowed, fused=False, pipelined=False, short=True),
+    "cgcg": partial(_windowed, fused=True, pipelined=False, short=True),
+    "pipecg": partial(_windowed, fused=True, pipelined=True, short=True),
     "fcg": partial(_windowed, fused=False, pipelined=False),
     "cgfcg": partial(_windowed, fused=True, pipelined=False),
     "pipefcg_naive": partial(_windowed, fused=True, pipelined=True, naive=True),

@@ -154,15 +154,16 @@ def test_criterion_3_orthogonality_invariants(poisson16):
 def test_criterion_4_eta_recurrence_consistency(poisson16):
     B = JacobiPreconditioner(poisson16.A)
     worst = 0.0
-    for method in ("cgfcg", "pipefcg"):
+    for method in ("cgfcg", "pipefcg", "cgcg", "pipecg"):
         events: list = []
         cfg = SolverConfig(method=method, rtol=1e-30, max_it=30, numax=300,
                            stagnation_window=0)
         solve(cfg, poisson16.A, B, poisson16.b, observer=collector(events))
-        for event, _, data in events:
-            if event == "direction":
-                direct = dot(data["p"], poisson16.A.apply(data["p"]))
-                worst = max(worst, abs(data["eta"] - direct) / abs(direct))
+        directions = [data for event, _, data in events if event == "direction"]
+        assert directions, method
+        for data in directions:
+            direct = dot(data["p"], poisson16.A.apply(data["p"]))
+            worst = max(worst, abs(data["eta"] - direct) / abs(direct))
     assert worst <= 1e-8
     print(f"criterion 4: PASS (worst recurred-eta deviation {worst:.2e})")
 
