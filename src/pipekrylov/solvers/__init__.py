@@ -9,16 +9,16 @@ row and the breakdown path (refill, flagged row, restart or stop) under
 the stopping, stagnation and restart policy of :class:`RunControl`.  A
 method supplies only its refill, its per-iteration step and its
 per-row constants, the counts of blocking and overlappable reduction
-phases.  Two loops serve 13 of the 14 methods: the windowed driver runs
-the CG, FCG and CR families except ``pcr``, and the minimal-residual
-family runs a restarted cycle.  Each has two switches, ``fused`` (the
+phases.  Two loops serve all 14 methods: the windowed driver runs the
+CG, FCG and CR families, and the minimal-residual family runs a
+restarted cycle.  Each has two switches, ``fused`` (the
 reductions batched into one blocking phase) and ``pipelined`` (that
 phase made overlappable).  The windowed driver takes its products with
 u = B(r) for FCG and with w = A u for CR (``residual``); ``naive`` gives
 ``pipefcg_naive``, ``recur_w`` off gives ``pipegcr``, and ``short`` gives
-the CG family, a Fletcher-Reeves two-term recurrence with no window.
-``pcr`` keeps its own short recurrence.  The FCG and CR methods keep
-their retained directions in one :class:`~.common.DirectionWindow`, a ring of
+the two-term recurrences with no window: the CG family's Fletcher-Reeves
+update and, with ``residual``, ``pcr``'s preconditioned CR.  The other
+FCG and CR methods keep their retained directions in one :class:`~.common.DirectionWindow`, a ring of
 ``numax`` slots in one block, a slot's vectors side by side; its
 coefficients and its new directions are one stacked product each.  The
 minimal-residual driver is a restarted cycle on the skeleton's row tail
@@ -134,11 +134,10 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     :func:`prescale_operator` when it depends on A) and the trace reports
     scaled residuals, while the returned iterate is mapped back.
 
-    The CG and FCG families additionally assume B is linear and positive,
-    and ``pcr`` is correct only when B is a multiple of I: with Jacobi on
-    a variable-coefficient operator it makes no progress (ROADMAP.md,
-    item 1).  This is not checked, and a violating preconditioner
-    surfaces as breakdown or stagnation rather than an error.
+    The CG and FCG families and ``pcr`` additionally assume B is linear
+    and symmetric positive definite.  This is not checked, and a
+    violating preconditioner surfaces as breakdown or stagnation rather
+    than an error.
     """
     if A.n_rows != A.n_cols:
         raise ValueError("operator must be square")

@@ -1,5 +1,4 @@
-"""The CG, flexible CG and conjugate residual variants on one driver, and
-the short-recurrence ``pcr``.
+"""The CG, flexible CG and conjugate residual variants on one driver.
 
 Each iteration builds a new search direction from the current
 preconditioned residual u = B(r).  The families differ in the vector v
@@ -21,6 +20,15 @@ step or in the refill:
   two-term update head + beta * previous column, and the fused energy is
   eta = delta - beta^2 eta_prev.  The natural norm is sqrt(gamma), as in
   FCG, and the fused refill also needs delta > 0.
+* CR (``short`` and ``residual``, ``pcr``): no window; preconditioned CR
+  in the B inner product (Saad, Iterative Methods for Sparse Linear
+  Systems, 2nd ed., 6.8 and ch. 9).  The phase at the end of a step holds
+  gamma = <u, w> and |r|^2; beta = gamma/gamma_prev updates p = u + beta p
+  and s = w + beta s, and eta = <s, B(s)> is the step's first phase.  The
+  natural norm is the computed |r|.  u = B(r) is applied afresh, not
+  recurred as u - alpha B(s), so that preconditioner noise does not
+  accumulate in it.  A zero or non-finite gamma, like a nonpositive eta,
+  triggers a restart.
 
 Two switches give the variants of each family:
 
@@ -45,16 +53,15 @@ Two switches give the variants of each family:
   run, so preconditioner noise accumulates and convergence stalls near
   the noise level, the stagnation the stabilized update removes.
 
-``pcr`` is the window-free two-term recurrence of CR, with two blocking
-phases of one dot product each; it assumes B is a multiple of I.
+``pcr`` has two blocking phases, like ``pcg``; per step it applies B
+twice, to r and to s, and the operator once.  Like the CG and FCG
+families it assumes a linear SPD B.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-
-import numpy as np
 
 from ..linalg import dot, norm2
 from .common import (
@@ -83,6 +90,8 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
     width = (4 if recur_w else 3) if pipelined else 2
     win = None if short else DirectionWindow(cfg, width, len(b))
     theta_mode = "zero" if naive or short else cfg.theta_mode
+    cr = short and residual             # pcr: preconditioned CR, B-inner product
+    recur_s = fused or cr               # s recurred, not applied to each p
     r = u = w = m = n = gamma = delta = nat2 = None
     # short: gamma, eta and direction columns of the previous step
     gamma_prev, eta_prev, prev = None, 0.0, None
@@ -92,7 +101,9 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         False when the exact weighting is undefined (r vanished)."""
         nonlocal gamma, delta, m, n
         v = w if residual else u
-        if fused or not residual:
+        if cr:
+            gamma = dot(w, u)                   # with |r|^2, the last phase
+        elif fused or not residual:
             gamma = dot(v, r)                   # the last (fcg) or only phase
         if fused:
             delta = dot(v, w)                   # pipelined, hidden by:
@@ -130,7 +141,9 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
 
     def step(x):
         nonlocal r, u, w, gamma, nat2, gamma_prev, eta_prev, prev
-        heads = (u, w, m, n)[:width] if fused else (u,)
+        if cr and not (math.isfinite(gamma) and gamma != 0.0):
+            return x, None
+        heads = (u, w, m, n)[:width] if recur_s else (u,)
         if short and prev is None:
             nu, beta, dirs = 0, 0.0, list(heads)
         elif short:
@@ -145,11 +158,13 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
             nu = len(betas)
             dirs = list(win.combine(betas, *heads))     # one per column
         del heads       # so the old u, w, m and n are freed as they are replaced
-        if not fused:
+        if not recur_s:
             dirs.append(A.apply(dirs[0]))
         p, s = dirs[:2]
         if fused:
             eta = delta - (beta * beta * eta_prev if short else win.energy(betas))
+        elif cr:
+            eta = dot(s, B.apply(s))            # pcr: phase 1
         else:
             if residual:
                 gamma = dot(r, s)
@@ -163,12 +178,14 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         alpha = gamma / eta
         x = x + alpha * p
         r = r - alpha * s
-        if residual:
+        if cr:
+            nat2 = dot(r, r)                    # in gamma's phase
+        elif residual:
             nat2 = _reduced(nat2, gamma, eta)
             if nat2 is None:
                 return x, None
         if short:
-            gamma_prev, eta_prev, prev = gamma, eta, dirs if fused else dirs[:1]
+            gamma_prev, eta_prev, prev = gamma, eta, dirs if recur_s else dirs[:1]
         else:
             win.push(*dirs, eta)
         if pipelined:
@@ -202,53 +219,6 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
     return drv.run(x0.copy(), refill, step)
 
 
-def _pcr(cfg, A, B, b, x0, rec):
-    """Two-term CR recurrence, valid only when B is a multiple of I.
-
-    It pairs gamma = <r, A B(r)> with eta = <s, s>, which is not a CR
-    inner product for any other B.  On sinker n=32 (contrast 1e3) with
-    Jacobi and the stagnation window off it reaches ``max_it`` 1500 at
-    true relative residual 1.0, where ``gcr`` reaches ``rtol`` in 149
-    rows.
-    """
-    r = p = s = nat2 = gamma_prev = fresh = None
-
-    def refill(x):
-        nonlocal r, p, s, nat2, fresh
-        r = b - A.apply(x)
-        natural = norm2(r)
-        nat2 = natural * natural
-        p, s = np.zeros_like(b), np.zeros_like(b)
-        fresh = True
-        return natural, True, {"r": r}
-
-    def step(x):
-        nonlocal r, p, s, nat2, gamma_prev, fresh
-        u = B.apply(r)
-        w = A.apply(u)
-        gamma = dot(r, w)                       # blocking phase 1
-        if not (math.isfinite(gamma) and gamma != 0.0):
-            return x, None
-        beta = 0.0 if fresh else gamma / gamma_prev
-        p = u + beta * p
-        s = w + beta * s
-        eta = dot(s, s)                         # blocking phase 2
-        if not positive(eta):
-            return x, None
-        alpha = gamma / eta
-        x = x + alpha * p
-        r = r - alpha * s
-        nat2_new = _reduced(nat2, gamma, eta)
-        if nat2_new is None:
-            return x, None
-        nat2 = nat2_new
-        gamma_prev = gamma
-        nu, fresh = 0 if fresh else 1, False
-        return x, accepted_row(nat2, nu, r, u, p, s, eta)
-
-    return Driver(cfg, rec, 2, 0, NO_TAGS).run(x0.copy(), refill, step)
-
-
 DRIVERS = {
     "pcg": partial(_windowed, fused=False, pipelined=False, short=True),
     "cgcg": partial(_windowed, fused=True, pipelined=False, short=True),
@@ -258,7 +228,8 @@ DRIVERS = {
     "pipefcg_naive": partial(_windowed, fused=True, pipelined=True, naive=True),
     "pipefcg": partial(_windowed, fused=True, pipelined=True),
     "gcr": partial(_windowed, fused=False, pipelined=False, residual=True),
-    "pcr": _pcr,
+    "pcr": partial(_windowed, fused=False, pipelined=False, residual=True,
+                   short=True),
     "pipegcr": partial(_windowed, fused=True, pipelined=True, residual=True,
                        recur_w=False),
     "pipegcr_w": partial(_windowed, fused=True, pipelined=True, residual=True),

@@ -302,7 +302,7 @@ def test_exact_weighting_stops_when_the_residual_vanishes(method):
         assert (row.red_blocking, row.red_overlapped) == (1, 1)
 
 
-@pytest.mark.parametrize("method", ["fcg", "cgfcg", "gcr"])
+@pytest.mark.parametrize("method", ["fcg", "cgfcg", "gcr", "pcr"])
 def test_state_events_carry_the_preconditioned_residual(method, poisson16):
     B = JacobiPreconditioner(poisson16.A)
     events = []
@@ -315,6 +315,50 @@ def test_state_events_carry_the_preconditioned_residual(method, poisson16):
     for i, payload in states:
         if i in accepted:
             assert np.array_equal(payload["u"], B.apply(payload["r"])), i
+
+
+def test_pcr_minimizes_the_preconditioned_residual_norm():
+    # preconditioned CR minimizes ||b - A x||_B = |L^T (b - A x)|, B = L L^T,
+    # over x in K_k(BA, B b): a dense least-squares problem on an
+    # orthonormal basis of that space
+    prob = make_sinker(12, 1e3)
+    B = JacobiPreconditioner(prob.A)
+    A = prob.A.to_dense()
+    half = np.linalg.cholesky(
+        np.column_stack([B.apply(e) for e in np.eye(A.shape[0])])).T
+    events = []
+    res = solve(SolverConfig(method="pcr", rtol=1e-30, max_it=12,
+                             stagnation_window=0),
+                prob.A, B, prob.b, observer=collector(events))
+    assert res.iterations == 12
+    assert not any(row.breakdown or row.restarted for row in res.trace)
+    iterates = {i: p["x"] for event, i, p in events if event == "state"}
+    V = B.apply(prob.b)[:, None]
+    worst = 0.0
+    for k in range(1, 13):
+        V, _ = np.linalg.qr(V)
+        y, *_ = np.linalg.lstsq(half @ A @ V, half @ prob.b, rcond=None)
+        best = norm2(half @ (prob.b - A @ V @ y))
+        got = norm2(half @ (prob.b - A @ iterates[k]))
+        worst = max(worst, abs(got - best) / best)
+        V = np.column_stack([V, B.apply(A @ V[:, -1])])
+    assert worst <= 1e-10
+
+
+def test_pcr_with_jacobi_on_the_sinker_reaches_rtol():
+    prob = make_sinker(32, 1e3)
+    events = []
+    res = solve(SolverConfig(method="pcr", rtol=1e-8, max_it=400,
+                             stagnation_window=0),
+                prob.A, JacobiPreconditioner(prob.A), prob.b,
+                observer=collector(events))
+    assert res.stop_reason == "rtol"
+    true = norm2(prob.b - prob.A.apply(res.x_final))
+    assert true <= 1.01 * 1e-8 * norm2(prob.b)
+    states = {i: p for event, i, p in events if event == "state"}
+    for row in res.trace:
+        if not row.breakdown:
+            assert row.rnorm_natural == norm2(states[row.iter]["r"]), row.iter
 
 
 def test_symmetric_only_methods_reject_general_operators(poisson16):
@@ -366,8 +410,10 @@ def _breakdown_runs():
         cfg = SolverConfig(method=method, rtol=1e-16, max_it=500, numax=100,
                            restart_len=10, stagnation_window=50)
         yield method, solve(cfg, prob.A, NoisyPreconditioner(1e-2, seed=7), prob.b), 50
+    # pcr: gamma = <B r, A B r> = sum d_i b_i^2 is exactly 0 on this b
     for method, b in (("pcg", np.ones(8)), ("fcg", np.ones(8)),
-                      ("cgcg", np.array([3.0, 1.0] * 4))):
+                      ("cgcg", np.array([3.0, 1.0] * 4)),
+                      ("pcr", np.array([1.0] * 6 + [0.0] * 2))):
         yield method, _solve(method, INDEFINITE, IdentityPreconditioner(), b,
                              max_it=50), 0
 
