@@ -18,7 +18,8 @@ and A·U[k-1] never holds -0.  It is an SpMV output, summed from +0, or in
 by the positive column norm, which gives -0 only by underflowing past the
 smallest subnormal.  On a non-finite V[k-1], 0·inf would put a NaN where z
 keeps a finite entry.  The Givens rotations run on Python floats, the same
-IEEE operations as on numpy scalars at a fraction of the call cost.
+IEEE operations as on numpy scalars at a fraction of the call cost; so does
+the back substitution of the triangular system, of order <= restart_len.
 
 * ``fgmres``: classical Gram-Schmidt (sigma = 0); the batched projection
   dots and the norm of the reduced column form two blocking phases.
@@ -47,11 +48,13 @@ PIPEFGMRES_TAGS = frozenset({"pc", "spmv"})
 
 
 class _LeastSquares:
-    """The cycle's Hessenberg system in Givens-rotated triangular form."""
+    """The cycle's Hessenberg system in Givens-rotated triangular form:
+    the rotated columns and right-hand side g as lists of Python floats,
+    back-substituted in ``iterate``."""
 
     def __init__(self, mlen: int, beta: float):
-        self.R = np.zeros((mlen + 1, mlen))
-        self.g = np.zeros(mlen + 1)
+        self.cols = []
+        self.g = [0.0] * (mlen + 1)
         self.g[0] = beta
         self.cs = [0.0] * mlen
         self.sn = [0.0] * mlen
@@ -74,7 +77,7 @@ class _LeastSquares:
         sn[k - 1] = col[k] / d
         col[k - 1] = d
         col[k] = 0.0
-        self.R[: k + 1, k - 1] = col
+        self.cols.append(col)
         g[k] = -sn[k - 1] * g[k - 1]
         g[k - 1] = cs[k - 1] * g[k - 1]
         return abs(g[k])
@@ -83,11 +86,12 @@ class _LeastSquares:
         """The cycle's minimal-residual iterate over its first k columns."""
         if k == 0:
             return x_cycle
-        # imported on the first iterate, not with the module: scipy.linalg
-        # takes about 0.1 s to import and maps a second OpenBLAS runtime,
-        # which a process that runs no GMRES cycle need not pay for
-        from scipy.linalg import solve_triangular
-        y = solve_triangular(self.R[:k, :k], self.g[:k], lower=False)
+        y = self.g[:k]
+        for j in range(k - 1, -1, -1):
+            col = self.cols[j]
+            y[j] /= col[j]
+            for i in range(j):
+                y[i] -= y[j] * col[i]
         return maxpy(x_cycle, y, U[:k])
 
 

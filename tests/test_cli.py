@@ -279,22 +279,32 @@ def test_module_entry_point_runs(tmp_path):
     assert read_trace_csv(out)[0].iter == 0
 
 
-def test_scipy_linalg_loads_with_the_first_gmres_iterate():
-    # the least-squares solve of a GMRES cycle is the only user of
-    # scipy.linalg, whose import maps a second OpenBLAS runtime
+def test_no_command_loads_scipy_linalg_or_a_second_blas():
+    # a GMRES cycle back-substitutes its triangular system on floats, so
+    # no solve imports scipy.linalg, whose import maps a second OpenBLAS;
+    # the monitored rows form the iterate on every row
     script = "\n".join([
-        "import sys",
+        "import os, sys",
         "from pipekrylov.cli import main",
-        "assert 'scipy.linalg' not in sys.modules",
+        "def check():",
+        "    assert 'scipy.linalg' not in sys.modules",
+        "    if os.path.exists('/proc/self/maps'):",
+        "        with open('/proc/self/maps') as maps:",
+        "            names = {line.split()[-1] for line in maps",
+        "                     if 'openblas' in line.split()[-1].lower()}",
+        "        assert len(names) == 1, names",
         "argv = ['solve', '--problem', 'poisson2d', '--n', '8', '--pc', 'jacobi']",
         "assert main(argv + ['--solver', 'pcg']) == 0",
-        "assert 'scipy.linalg' not in sys.modules",
-        "assert main(argv + ['--solver', 'fgmres']) == 0",
-        "assert 'scipy.linalg' in sys.modules",
+        "check()",
+        "for solver in ('fgmres', 'cgfgmres', 'pipefgmres'):",
+        "    assert main(argv + ['--solver', solver, '--monitor-true-residual', 'true']) == 0",
+        "    check()",
+        "assert main(argv + ['--solver', 'fgmres', '--monitor-true-residual', 'false']) == 0",
+        "check()",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("converged=1") == 2
+    assert proc.stdout.count("converged=1") == 5
 
 
 @pytest.mark.parametrize("pc", ["jacobi", "nested-krylov"])

@@ -134,6 +134,15 @@ def test_givens_rotations_on_floats_match_numpy_scalars():
         ls.append(rotated, k, d)
         cs[k - 1], sn[k - 1] = ref[k - 1] / d_ref, ref[k] / d_ref
         assert (ls.cs[k - 1], ls.sn[k - 1]) == (cs[k - 1], sn[k - 1])
+        # the back substitution against a dense solve of the stored triangle
+        y = ls.iterate(np.zeros(mlen), np.eye(mlen), k)[:k]
+        R = np.zeros((k, k))
+        for j, stored in enumerate(ls.cols):
+            R[: j + 1, j] = stored[: j + 1]
+        y_ref = np.linalg.solve(R, np.array(ls.g[:k]))
+        assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+    x = np.ones(mlen)
+    assert ls.iterate(x, np.eye(mlen), 0) is x
 
 
 class _ZeroOnCall(Preconditioner):
