@@ -2,18 +2,25 @@
 
 Configuration comes from flags or from a ``--config`` file of
 ``key = value`` lines with ``#`` comments; flags override the file, and
-every key is validated against the subcommand's closed schema.  Exit
-status is 0 on success, 1 on usage or configuration errors, and 2 on
-solver failure (an unrecoverable breakdown, or reaching the iteration
-limit without convergence when ``--strict`` is set).
+every key is validated against the subcommand's closed schema.  The
+solver and cost-model options are the fields of ``SolverConfig``,
+``CostModelParams`` and ``MachineSpec`` with their defaults (``max_it``
+is ``--max-it``, ``nonzeros_per_row`` is ``--nz``, and ``nodes`` comes
+from ``--nodes``), and the dataclasses' checks validate them.  Every
+invalid input raises ``ValueError``, reported as one ``error:`` line
+with exit status 1; an unrecoverable breakdown, or with ``--strict`` the
+iteration limit reached without convergence, exits 2.
+
+The problem builders, ``solve`` and the trace writers are looked up as
+module globals at call time, so that a caller may replace them here.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Optional, get_type_hints
 
 from .linalg import SparseOperator
 from .perfmodel import (
@@ -22,7 +29,6 @@ from .perfmodel import (
     CostModelParams,
     MachineSpec,
     find_crossover,
-    iteration_cost,
     sweep,
 )
 from .preconditioners import PRECONDITIONER_KINDS, make_preconditioner, probe_faithfulness
@@ -33,16 +39,19 @@ from .problems import (
     make_sinker,
     make_toy_diagonal,
 )
-from .solvers import METHODS, SolveResult, SolverConfig, prescale_operator, solve
+from .solvers import SolveResult, SolverConfig, prescale_operator, solve
 from .traceio import write_compare_csv, write_perfmodel_csv, write_trace_csv
 
 __all__ = ["main"]
 
-PROBLEM_KINDS = ("identity", "toy_diag", "poisson2d", "poisson3d", "sinker")
-
-
-class _ConfigError(Exception):
-    """Invalid configuration; the message names the offending key."""
+_PROBLEMS: dict[str, Callable[[dict], ProblemInstance]] = {
+    "identity": lambda v: make_identity(v["n"]),
+    "toy_diag": lambda v: make_toy_diagonal(v["n"], v["cond"]),
+    "poisson2d": lambda v: make_poisson(2, v["n"], seed=v["seed"]),
+    "poisson3d": lambda v: make_poisson(3, v["n"], seed=v["seed"]),
+    "sinker": lambda v: make_sinker(v["n"], v["contrast"]),
+}
+PROBLEM_KINDS = tuple(_PROBLEMS)
 
 
 def _canon(value: str) -> str:
@@ -53,14 +62,14 @@ def _cast_int(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _ConfigError(f"invalid integer for {key}: {raw!r}") from None
+        raise ValueError(f"invalid integer for {key}: {raw!r}") from None
 
 
 def _cast_float(key: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise _ConfigError(f"invalid number for {key}: {raw!r}") from None
+        raise ValueError(f"invalid number for {key}: {raw!r}") from None
 
 
 def _cast_str(key: str, raw: str) -> str:
@@ -77,14 +86,20 @@ def _cast_bool(key: str, raw: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise _ConfigError(f"invalid boolean for {key}: {raw!r}")
+    raise ValueError(f"invalid boolean for {key}: {raw!r}")
 
 
 def _cast_int_list(key: str, raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
-        raise _ConfigError(f"empty list for {key}")
+        raise ValueError(f"empty list for {key}")
     return tuple(_cast_int(key, p) for p in parts)
+
+
+# The cast of a dataclass field's type; a bool field is a flag.
+_CASTS = {int: _cast_int, float: _cast_float, bool: _cast_bool, str: _cast_name}
+# Fields whose option name differs from the field name.
+_OPT_NAMES = {"nonzeros_per_row": "nz"}
 
 
 @dataclass(frozen=True)
@@ -96,14 +111,31 @@ class _Opt:
     is_flag: bool = False
 
 
+def _field_opts(cls, helps: dict[str, str], skip: tuple[str, ...] = ()) -> tuple[_Opt, ...]:
+    """One option per field of ``cls`` outside ``skip``, with the field's
+    default and the cast of its type."""
+    types = get_type_hints(cls)
+    return tuple(_Opt(_OPT_NAMES.get(f.name, f.name), _CASTS[types[f.name]], f.default,
+                      helps[f.name], is_flag=types[f.name] is bool)
+                 for f in fields(cls) if f.name not in skip)
+
+
+def _from_opts(cls, values: dict, **given):
+    """``cls`` from the option values of its fields; ``given`` sets the rest."""
+    return cls(**given, **{f.name: values[_OPT_NAMES.get(f.name, f.name)]
+                           for f in fields(cls) if f.name not in given})
+
+
+def _kinds(names: tuple[str, ...]) -> str:
+    return ", ".join(name.replace("_", "-") for name in names)
+
+
 _PROBLEM_OPTS = (
-    _Opt("problem", _cast_name, None,
-         "problem kind: identity, toy-diag, poisson2d, poisson3d, sinker"),
+    _Opt("problem", _cast_name, None, "problem kind: " + _kinds(PROBLEM_KINDS)),
     _Opt("n", _cast_int, 16, "problem size (vector length or points per side)"),
     _Opt("cond", _cast_float, 100.0, "condition number of the toy diagonal"),
     _Opt("contrast", _cast_float, 100.0, "coefficient contrast of the sinker"),
-    _Opt("pc", _cast_name, "identity",
-         "preconditioner kind: identity, jacobi, block-jacobi, nested-krylov, noisy"),
+    _Opt("pc", _cast_name, "identity", "preconditioner kind: " + _kinds(PRECONDITIONER_KINDS)),
     _Opt("eta", _cast_float, 1e-4, "noise magnitude of the noisy preconditioner"),
     _Opt("n_blocks", _cast_int, 4, "block count of the block-Jacobi preconditioner"),
     _Opt("inner_iters", _cast_int, 5, "inner iterations of the nested preconditioners"),
@@ -112,26 +144,21 @@ _PROBLEM_OPTS = (
          "drop the operator's symmetric flag (validation experiments)", is_flag=True),
 )
 
-_SOLVER_OPTS = (
-    _Opt("rtol", _cast_float, 1e-8, "relative tolerance on the natural norm"),
-    _Opt("atol", _cast_float, 0.0, "absolute tolerance on the natural norm"),
-    _Opt("max_it", _cast_int, 1000, "iteration limit"),
-    _Opt("numax", _cast_int, 30, "direction window capacity"),
-    _Opt("truncation", _cast_name, "notay_mod",
-         "truncation rule: notay-mod or standard"),
-    _Opt("restart_len", _cast_int, 30, "restart cycle length (minimal-residual family)"),
-    _Opt("sigma", _cast_float, 0.0, "constant shift (single-reduction GMRES variants)"),
-    _Opt("sigma_auto_power", _cast_int, 0,
-         "estimate the shift with this many power-iteration steps"),
-    _Opt("theta_mode", _cast_name, "one",
-         "stabilization weighting of pipefcg, pipegcr and pipegcr-w: zero, one, "
-         "or exact (pipefcg-naive always uses the unstabilized B(w))"),
-    _Opt("monitor_true_residual", _cast_bool, True,
-         "recompute the true residual every iteration", is_flag=True),
-    _Opt("stagnation_window", _cast_int, 50,
-         "stagnation detection window (0 disables)"),
-    _Opt("prescale", _cast_bool, False,
-         "symmetric Jacobi scaling of the system", is_flag=True),
+_SOLVER_OPTS = _field_opts(SolverConfig, {
+    "rtol": "relative tolerance on the natural norm",
+    "atol": "absolute tolerance on the natural norm",
+    "max_it": "iteration limit",
+    "numax": "direction window capacity",
+    "truncation": "truncation rule: notay-mod or standard",
+    "restart_len": "restart cycle length (minimal-residual family)",
+    "sigma": "constant shift (single-reduction GMRES variants)",
+    "sigma_auto_power": "estimate the shift with this many power-iteration steps",
+    "theta_mode": "stabilization weighting of pipefcg, pipegcr and pipegcr-w: zero, one, "
+                  "or exact (pipefcg-naive always uses the unstabilized B(w))",
+    "monitor_true_residual": "recompute the true residual every iteration",
+    "stagnation_window": "stagnation detection window (0 disables)",
+    "prescale": "symmetric Jacobi scaling of the system",
+}, skip=("method",)) + (
     _Opt("strict", _cast_bool, False,
          "exit 2 when the iteration limit is reached without convergence",
          is_flag=True),
@@ -149,28 +176,23 @@ _PERFMODEL_OPTS = (
     _Opt("nodes", _cast_int_list, DEFAULT_NODE_GRID, "comma-separated node counts"),
     _Opt("crossover", _cast_str, None,
          "append a crossover report for a standard,pipelined method pair"),
-    _Opt("unknowns", _cast_float, 2000.0 ** 3, "total unknowns"),
-    _Opt("nz", _cast_float, 7.0, "nonzeros per row"),
-    _Opt("numax", _cast_int, 30, "direction window capacity"),
-    _Opt("kavg", _cast_float, 0.8, "average window fill fraction"),
-    _Opt("restart_len", _cast_int, 30, "restart cycle length"),
-    _Opt("pc_inner_iters", _cast_int, 5, "preconditioner inner iterations"),
-    _Opt("cores_per_node", _cast_int, 2 ** 10, "cores per node"),
-    _Opt("word_bytes", _cast_float, 32.0, "word size in bytes"),
-    _Opt("bandwidth", _cast_float, 100.0e9, "network bandwidth in bytes/second"),
-    _Opt("tree_radix", _cast_int, 8, "reduction tree radix"),
-    _Opt("latency", _cast_float, 1.0e-6, "message latency in seconds"),
-    _Opt("flop_time", _cast_float, 2 ** 30 / 1.0e18, "seconds per flop"),
+) + _field_opts(CostModelParams, {
+    "unknowns": "total unknowns",
+    "nonzeros_per_row": "nonzeros per row",
+    "numax": "direction window capacity",
+    "kavg": "average window fill fraction",
+    "restart_len": "restart cycle length",
+    "pc_inner_iters": "preconditioner inner iterations",
+}) + _field_opts(MachineSpec, {
+    "cores_per_node": "cores per node",
+    "word_bytes": "word size in bytes",
+    "bandwidth": "network bandwidth in bytes/second",
+    "tree_radix": "reduction tree radix",
+    "latency": "message latency in seconds",
+    "flop_time": "seconds per flop",
+}, skip=("nodes",)) + (
     _Opt("out", _cast_str, None, "output CSV path (default: standard output)"),
 )
-
-_SCHEMAS = {
-    "solve": _SOLVE_OPTS,
-    "compare": _COMPARE_OPTS,
-    "perfmodel": _PERFMODEL_OPTS,
-    "probe": _PROBE_OPTS,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that exits with status 1 on usage errors."""
@@ -184,14 +206,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pipekrylov",
                      description="Pipelined flexible Krylov solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "solve": "run one method on one problem and write its trace",
-        "compare": "run several methods on one problem into a merged trace",
-        "perfmodel": "evaluate the analytic cost model over a node grid",
-        "probe": "estimate a preconditioner's faithfulness constant",
-    }
-    for command, schema in _SCHEMAS.items():
-        p = sub.add_parser(command, description=descriptions[command])
+    for command, (description, schema, _) in _COMMANDS.items():
+        p = sub.add_parser(command, description=description)
         p.add_argument("--config", type=str, default=None,
                        help="key = value configuration file; flags override it")
         for opt in schema:
@@ -214,12 +230,12 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise _ConfigError(
+                    raise ValueError(
                         f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
                 key, value = line.split("=", 1)
                 entries[_canon(key)] = value.strip()
     except OSError as exc:
-        raise _ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     return entries
 
 
@@ -230,7 +246,7 @@ def _merge(schema, ns: argparse.Namespace) -> dict[str, Any]:
     known = {opt.name for opt in schema}
     for key in from_file:
         if key not in known:
-            raise _ConfigError(f"unknown config key: {key}")
+            raise ValueError(f"unknown config key: {key}")
     values: dict[str, Any] = {}
     for opt in schema:
         raw = getattr(ns, opt.name)
@@ -242,28 +258,15 @@ def _merge(schema, ns: argparse.Namespace) -> dict[str, Any]:
 
 def _require(values: dict, key: str) -> Any:
     if values[key] is None:
-        raise _ConfigError(f"missing required option: --{key.replace('_', '-')}")
+        raise ValueError(f"missing required option: --{key.replace('_', '-')}")
     return values[key]
 
 
-def _build_problem(values: dict) -> ProblemInstance:
-    kind = _require(values, "problem")
-    n = values["n"]
-    if kind == "identity":
-        return make_identity(n)
-    if kind == "toy_diag":
-        return make_toy_diagonal(n, values["cond"])
-    if kind == "poisson2d":
-        return make_poisson(2, n, seed=values["seed"])
-    if kind == "poisson3d":
-        return make_poisson(3, n, seed=values["seed"])
-    if kind == "sinker":
-        return make_sinker(n, values["contrast"])
-    raise _ConfigError(f"unknown problem: {kind} (expected one of {PROBLEM_KINDS})")
-
-
 def _build_operator(values: dict) -> tuple[ProblemInstance, SparseOperator]:
-    problem = _build_problem(values)
+    kind = _require(values, "problem")
+    if kind not in _PROBLEMS:
+        raise ValueError(f"unknown problem: {kind} (expected one of {PROBLEM_KINDS})")
+    problem = _PROBLEMS[kind](values)
     A = problem.A
     if values["general"]:
         A = SparseOperator.from_scipy(A.csr, symmetric=False)
@@ -271,33 +274,9 @@ def _build_operator(values: dict) -> tuple[ProblemInstance, SparseOperator]:
 
 
 def _build_pc(values: dict, A: SparseOperator):
-    try:
-        return make_preconditioner(values["pc"], A, eta=values["eta"],
-                                   seed=values["seed"], n_blocks=values["n_blocks"],
-                                   inner_iters=values["inner_iters"])
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
-
-
-def _solver_config(values: dict, method: str) -> SolverConfig:
-    try:
-        return SolverConfig(
-            method=method,
-            rtol=values["rtol"],
-            atol=values["atol"],
-            max_it=values["max_it"],
-            numax=values["numax"],
-            truncation=values["truncation"],
-            restart_len=values["restart_len"],
-            sigma=values["sigma"],
-            sigma_auto_power=values["sigma_auto_power"],
-            theta_mode=values["theta_mode"],
-            monitor_true_residual=values["monitor_true_residual"],
-            stagnation_window=values["stagnation_window"],
-            prescale=values["prescale"],
-        )
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+    return make_preconditioner(values["pc"], A, eta=values["eta"],
+                               seed=values["seed"], n_blocks=values["n_blocks"],
+                               inner_iters=values["inner_iters"])
 
 
 def _summary_line(method: str, result: SolveResult) -> str:
@@ -318,32 +297,27 @@ def _exit_code(result: SolveResult, strict: bool) -> int:
     return 0
 
 
-def _run_one(values: dict, method: str, problem: ProblemInstance,
+def _run_one(values: dict, cfg: SolverConfig, problem: ProblemInstance,
              A: SparseOperator) -> SolveResult:
     """Solve with a fresh preconditioner, so that a seeded one (``noisy``)
     starts its stream again for every method."""
-    cfg = _solver_config(values, method)
-    try:
-        B = _build_pc(values, prescale_operator(A) if cfg.prescale else A)
-        return solve(cfg, A, B, problem.b, x_true=problem.x_true,
-                     seed=values["seed"])
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+    B = _build_pc(values, prescale_operator(A) if cfg.prescale else A)
+    return solve(cfg, A, B, problem.b, x_true=problem.x_true, seed=values["seed"])
 
 
 def _cmd_solve(values: dict) -> int:
-    method = _require(values, "solver")
-    result = _run_one(values, method, *_build_operator(values))
+    cfg = _from_opts(SolverConfig, values, method=_require(values, "solver"))
+    result = _run_one(values, cfg, *_build_operator(values))
     if values["out"] is not None:
         write_trace_csv(values["out"], result.trace)
-    print(_summary_line(method, result))
+    print(_summary_line(cfg.method, result))
     return _exit_code(result, values["strict"])
 
 
 def _method_list(raw: str, key: str) -> list[str]:
     methods = [_canon(m) for m in raw.split(",") if m.strip()]
     if not methods:
-        raise _ConfigError(f"empty method list for {key}")
+        raise ValueError(f"empty method list for {key}")
     deduped: list[str] = []
     for m in methods:
         if m in deduped:
@@ -354,14 +328,15 @@ def _method_list(raw: str, key: str) -> list[str]:
 
 
 def _cmd_compare(values: dict) -> int:
-    methods = _method_list(_require(values, "methods"), "methods")
+    configs = [_from_opts(SolverConfig, values, method=method)
+               for method in _method_list(_require(values, "methods"), "methods")]
     problem, A = _build_operator(values)
     status = 0
     runs = []
-    for method in methods:
-        result = _run_one(values, method, problem, A)
-        runs.append((method, result.trace))
-        print(_summary_line(method, result))
+    for cfg in configs:
+        result = _run_one(values, cfg, problem, A)
+        runs.append((cfg.method, result.trace))
+        print(_summary_line(cfg.method, result))
         status = max(status, _exit_code(result, values["strict"]))
     if values["out"] is not None:
         write_compare_csv(values["out"], runs)
@@ -371,52 +346,26 @@ def _cmd_compare(values: dict) -> int:
 def _cmd_perfmodel(values: dict) -> int:
     methods = _method_list(values["methods"], "methods")
     grid = values["nodes"]
-    if any(n < 1 for n in grid):
-        raise _ConfigError("node counts must be positive")
-    try:
-        spec = MachineSpec(
-            nodes=grid[0],
-            cores_per_node=values["cores_per_node"],
-            word_bytes=values["word_bytes"],
-            bandwidth=values["bandwidth"],
-            tree_radix=values["tree_radix"],
-            latency=values["latency"],
-            flop_time=values["flop_time"],
-        )
-        params = CostModelParams(
-            unknowns=values["unknowns"],
-            nonzeros_per_row=values["nz"],
-            numax=values["numax"],
-            kavg=values["kavg"],
-            restart_len=values["restart_len"],
-            pc_inner_iters=values["pc_inner_iters"],
-        )
-        costs = sweep(methods, spec, params, grid)
-        notes = []
-        if values["crossover"] is not None:
-            pair = [_canon(m) for m in values["crossover"].split(",") if m.strip()]
-            if len(pair) != 2:
-                raise _ConfigError(
-                    "crossover expects exactly two methods: standard,pipelined")
-            at = find_crossover(pair[0], pair[1], spec, params, grid)
-            if at is None:
-                notes.append(f"no crossover for {pair[0]} vs {pair[1]} in range")
-            else:
-                notes.append(f"crossover {pair[0]} vs {pair[1]} at nodes={at}")
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
-    if values["out"] is not None:
-        write_perfmodel_csv(values["out"], costs, notes)
-    else:
-        write_perfmodel_csv(sys.stdout, costs, notes)
+    spec = _from_opts(MachineSpec, values, nodes=grid[0])
+    params = _from_opts(CostModelParams, values)
+    costs = sweep(methods, spec, params, grid)
+    notes = []
+    if values["crossover"] is not None:
+        pair = [_canon(m) for m in values["crossover"].split(",") if m.strip()]
+        if len(pair) != 2:
+            raise ValueError("crossover expects exactly two methods: standard,pipelined")
+        at = find_crossover(pair[0], pair[1], spec, params, grid)
+        if at is None:
+            notes.append(f"no crossover for {pair[0]} vs {pair[1]} in range")
+        else:
+            notes.append(f"crossover {pair[0]} vs {pair[1]} at nodes={at}")
+    write_perfmodel_csv(sys.stdout if values["out"] is None else values["out"], costs, notes)
     return 0
 
 
 def _cmd_probe(values: dict) -> int:
     problem, A = _build_operator(values)
     B = _build_pc(values, A)
-    if values["samples"] < 1:
-        raise _ConfigError("samples must be >= 1")
     est = probe_faithfulness(B, A, values["samples"], values["seed"])
     ratios = est.ratios
     print(f"pc={values['pc']} problem={values['problem']} samples={est.samples}")
@@ -426,11 +375,16 @@ def _cmd_probe(values: dict) -> int:
     return 0
 
 
+# command -> (description, option schema, handler)
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "compare": _cmd_compare,
-    "perfmodel": _cmd_perfmodel,
-    "probe": _cmd_probe,
+    "solve": ("run one method on one problem and write its trace",
+              _SOLVE_OPTS, _cmd_solve),
+    "compare": ("run several methods on one problem into a merged trace",
+                _COMPARE_OPTS, _cmd_compare),
+    "perfmodel": ("evaluate the analytic cost model over a node grid",
+                  _PERFMODEL_OPTS, _cmd_perfmodel),
+    "probe": ("estimate a preconditioner's faithfulness constant",
+              _PROBE_OPTS, _cmd_probe),
 }
 
 
@@ -440,10 +394,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
+    _, schema, handler = _COMMANDS[ns.command]
     try:
-        values = _merge(_SCHEMAS[ns.command], ns)
-        return _COMMANDS[ns.command](values)
-    except _ConfigError as exc:
+        return handler(_merge(schema, ns))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

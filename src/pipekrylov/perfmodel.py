@@ -17,6 +17,7 @@ window enters as nu_avg = kavg * numax.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -52,6 +53,15 @@ MODEL_METHODS = (
 DEFAULT_NODE_GRID: tuple[int, ...] = tuple(2 ** k for k in range(10, 23))
 
 
+def _check_finite(settings) -> None:
+    """NaN fails no ordering check below, so every float field is first
+    required to be finite."""
+    for field in dataclasses.fields(settings):
+        value = getattr(settings, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite")
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """Machine parameters; defaults model a hypothesized exascale system."""
@@ -65,6 +75,7 @@ class MachineSpec:
     flop_time: float = 2 ** 30 / 1.0e18
 
     def __post_init__(self):
+        _check_finite(self)
         if self.nodes < 1 or self.cores_per_node < 1:
             raise ValueError("node and core counts must be positive")
         if self.word_bytes <= 0.0 or self.bandwidth <= 0.0:
@@ -96,6 +107,7 @@ class CostModelParams:
     pc_inner_iters: int = 5
 
     def __post_init__(self):
+        _check_finite(self)
         if self.unknowns <= 0.0:
             raise ValueError("unknowns must be positive")
         if self.nonzeros_per_row <= 0.0:
@@ -275,8 +287,9 @@ def find_crossover(method_std: str, method_pipe: str, spec: MachineSpec,
                    node_counts: Optional[Iterable[int]] = None) -> Optional[int]:
     """Smallest grid node count from which the pipelined variant stays
     cheaper (total time) than the standard one; None when it never does.
+    The grid is taken in ascending order, duplicates dropped.
     """
-    grid = DEFAULT_NODE_GRID if node_counts is None else tuple(node_counts)
+    grid = sorted(set(DEFAULT_NODE_GRID if node_counts is None else node_counts))
     wins: list[bool] = []
     for nodes in grid:
         at = dataclasses.replace(spec, nodes=int(nodes))

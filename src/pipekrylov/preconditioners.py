@@ -9,6 +9,7 @@ nonlinear (and stateful) by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +164,8 @@ class NoisyPreconditioner(Preconditioner):
     is_linear = False
 
     def __init__(self, eta: float, seed: int):
-        if eta < 0.0:
-            raise ValueError("noise magnitude must be nonnegative")
+        if not (math.isfinite(eta) and eta >= 0.0):
+            raise ValueError("noise magnitude eta must be finite and nonnegative")
         self.eta = float(eta)
         self._rng = SplitMix64(seed)
 

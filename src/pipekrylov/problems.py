@@ -8,6 +8,7 @@ diagonals or its entries, with no intermediate sparse products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,8 +52,8 @@ def make_toy_diagonal(n: int, cond: float) -> ProblemInstance:
     """
     if n < 2:
         raise ValueError("toy diagonal problem needs n >= 2")
-    if cond <= 1.0:
-        raise ValueError("condition number must exceed 1")
+    if not (math.isfinite(cond) and cond > 1.0):
+        raise ValueError("condition number cond must be finite and exceed 1")
     lam = 1.0 + (cond - 1.0) * np.arange(n, dtype=np.float64) / (n - 1)
     A = SparseOperator.from_scipy(sp.diags(lam, format="csr"), symmetric=True)
     b = np.full(n, 1.0 / np.sqrt(n))
@@ -108,8 +109,8 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
     """
     if n_per_side < 4:
         raise ValueError("sinker problem needs at least 4 cells per side")
-    if contrast < 1.0:
-        raise ValueError("coefficient contrast must be >= 1")
+    if not (math.isfinite(contrast) and contrast >= 1.0):
+        raise ValueError("coefficient contrast must be finite and >= 1")
     n = n_per_side
     h = 1.0 / n
     centers = (np.arange(n) + 0.5) * h

@@ -98,8 +98,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (0.0 < self.rtol < 1.0):
             raise ValueError("rtol must lie in (0, 1)")
-        if self.atol < 0.0:
-            raise ValueError("atol must be nonnegative")
+        if not (math.isfinite(self.atol) and self.atol >= 0.0):
+            raise ValueError("atol must be finite and nonnegative")
         if self.max_it < 1:
             raise ValueError("max_it must be >= 1")
         if self.numax < 1:
@@ -108,6 +108,8 @@ class SolverConfig:
             raise ValueError(f"unknown truncation strategy {self.truncation!r}")
         if self.restart_len < 1:
             raise ValueError("restart_len must be >= 1")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.sigma_auto_power < 0:
             raise ValueError("sigma_auto_power must be >= 0")
         if self.theta_mode not in THETA_MODES:

@@ -1,12 +1,13 @@
 """CSV serialization for iteration traces and cost tables.
 
-The trace schema is fixed:
+The trace columns are the fields of ``TraceRow``, in order:
 
     iter,rnorm_natural,rnorm_true,relerr,nu_used,red_blocking,
     red_overlapped,overlap_tags,breakdown,restarted
 
-Floats are written in shortest round-trip decimal form, booleans as 0/1,
-absent values as empty strings, and tag sets as "+"-joined sorted names.
+Each column is written and read by the codec of its field's type: floats
+in shortest round-trip decimal form, booleans as 0/1, absent values as
+empty strings, and tag sets as "+"-joined sorted names.
 Every writer's output is readable by the matching reader with zero data
 loss, and identical inputs serialize to identical bytes.
 """
@@ -14,7 +15,9 @@ loss, and identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import csv
-from typing import Optional, Sequence, TextIO, Union
+from dataclasses import fields
+from operator import attrgetter
+from typing import Optional, Sequence, TextIO, Union, get_type_hints
 
 from .perfmodel import IterationCost
 from .solvers import IterationTrace, TraceRow
@@ -30,56 +33,36 @@ __all__ = [
     "read_perfmodel_csv",
 ]
 
-TRACE_COLUMNS = (
-    "iter", "rnorm_natural", "rnorm_true", "relerr", "nu_used",
-    "red_blocking", "red_overlapped", "overlap_tags", "breakdown", "restarted",
-)
-PERFMODEL_COLUMNS = ("nodes", "method", "t_calc", "t_red", "t_total")
-
 
 def _fmt_float(value: Optional[float]) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _fmt_tags(tags: frozenset) -> str:
-    return "+".join(sorted(tags))
-
-
-def _fmt_bool(value: bool) -> str:
-    return "1" if value else "0"
+# (format, parse) of each TraceRow field type
+_CODECS = {
+    int: (str, int),
+    float: (_fmt_float, float),
+    Optional[float]: (_fmt_float, lambda text: None if text == "" else float(text)),
+    frozenset: (lambda tags: "+".join(sorted(tags)),
+                lambda text: frozenset(text.split("+")) if text else frozenset()),
+    bool: (lambda flag: "1" if flag else "0", lambda text: text == "1"),
+}
+_TYPES = get_type_hints(TraceRow)
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+_FORMATS, _PARSES = zip(*(_CODECS[_TYPES[name]] for name in TRACE_COLUMNS))
+_row_values = attrgetter(*TRACE_COLUMNS)
+PERFMODEL_COLUMNS = ("nodes", "method", "t_calc", "t_red", "t_total")
 
 
 def _row_fields(row: TraceRow) -> list[str]:
-    return [
-        str(row.iter),
-        _fmt_float(row.rnorm_natural),
-        _fmt_float(row.rnorm_true),
-        _fmt_float(row.relerr),
-        str(row.nu_used),
-        str(row.red_blocking),
-        str(row.red_overlapped),
-        _fmt_tags(row.overlap_tags),
-        _fmt_bool(row.breakdown),
-        _fmt_bool(row.restarted),
-    ]
+    return [fmt(value) for fmt, value in zip(_FORMATS, _row_values(row))]
 
 
-def _parse_row(fields: Sequence[str]) -> TraceRow:
-    if len(fields) != len(TRACE_COLUMNS):
+def _parse_row(texts: Sequence[str]) -> TraceRow:
+    if len(texts) != len(TRACE_COLUMNS):
         raise ValueError(
-            f"trace row has {len(fields)} fields, expected {len(TRACE_COLUMNS)}")
-    return TraceRow(
-        iter=int(fields[0]),
-        rnorm_natural=float(fields[1]),
-        rnorm_true=None if fields[2] == "" else float(fields[2]),
-        relerr=None if fields[3] == "" else float(fields[3]),
-        nu_used=int(fields[4]),
-        red_blocking=int(fields[5]),
-        red_overlapped=int(fields[6]),
-        overlap_tags=frozenset(fields[7].split("+")) if fields[7] else frozenset(),
-        breakdown=fields[8] == "1",
-        restarted=fields[9] == "1",
-    )
+            f"trace row has {len(texts)} fields, expected {len(TRACE_COLUMNS)}")
+    return TraceRow(*(parse(text) for parse, text in zip(_PARSES, texts)))
 
 
 def _open_for_write(target: Union[str, TextIO]):

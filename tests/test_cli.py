@@ -10,12 +10,14 @@ from __future__ import annotations
 import io
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pipekrylov import linalg
+from pipekrylov import cli, linalg
 from pipekrylov.cli import main
+from pipekrylov.perfmodel import CostModelParams, MachineSpec
 from pipekrylov.preconditioners import JacobiPreconditioner
 from pipekrylov.problems import make_sinker
 from pipekrylov.solvers import IterationTrace, SolveResult, SolverConfig, prescale_operator, solve
@@ -327,3 +329,110 @@ def test_compare_builds_one_scaled_operator(pc, tmp_path, capsys, monkeypatch):
     # the scaled operator's diagonal form is the only one: the unscaled
     # operator is never applied
     assert len(converted) == 1
+
+
+# a valid value other than the default for every SolverConfig field but method
+SOLVER_SETTINGS = {
+    "rtol": 1e-5, "atol": 0.5, "max_it": 7, "numax": 3, "truncation": "standard",
+    "restart_len": 4, "sigma": 0.25, "sigma_auto_power": 2, "theta_mode": "exact",
+    "monitor_true_residual": False, "stagnation_window": 9, "prescale": True,
+}
+# the same for every CostModelParams field and every MachineSpec field but nodes
+PARAMS_SETTINGS = {"unknowns": 1e6, "nonzeros_per_row": 5.0, "numax": 12, "kavg": 0.5,
+                   "restart_len": 9, "pc_inner_iters": 2}
+SPEC_SETTINGS = {"cores_per_node": 64, "word_bytes": 8.0, "bandwidth": 1e9,
+                 "tree_radix": 4, "latency": 2e-6, "flop_time": 1e-9}
+
+
+def _flags(settings: dict) -> list[str]:
+    renamed = {"nonzeros_per_row": "nz"}
+    return [arg for name, value in settings.items()
+            for arg in ("--" + renamed.get(name, name).replace("_", "-"), str(value))]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_every_solver_config_field_is_an_option(command, source, tmp_path, monkeypatch,
+                                                capsys):
+    assert set(SOLVER_SETTINGS) == {f.name for f in fields(SolverConfig)} - {"method"}
+    configs = []
+
+    def fake_solve(cfg, A, B, b, **kwargs):
+        configs.append(cfg)
+        return SolveResult(x_final=np.zeros_like(b), converged=True, iterations=0,
+                           stop_reason="rtol", trace=IterationTrace())
+
+    monkeypatch.setattr(cli, "solve", fake_solve)
+    argv = [command, "--problem", "poisson2d", "--n", "4",
+            "--solver" if command == "solve" else "--methods", "fcg"]
+    if source == "flag":
+        chosen = _flags(SOLVER_SETTINGS)
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{name} = {value}\n"
+                                for name, value in SOLVER_SETTINGS.items()), encoding="utf-8")
+        chosen = ["--config", str(path)]
+    assert main(argv) == 0
+    assert main(argv + chosen) == 0
+    capsys.readouterr()
+    assert configs == [SolverConfig(method="fcg"),
+                       SolverConfig(method="fcg", **SOLVER_SETTINGS)]
+
+
+def test_every_cost_model_field_is_an_option(monkeypatch, capsys):
+    assert set(PARAMS_SETTINGS) == {f.name for f in fields(CostModelParams)}
+    assert set(SPEC_SETTINGS) == {f.name for f in fields(MachineSpec)} - {"nodes"}
+    calls = []
+    monkeypatch.setattr(cli, "sweep",
+                        lambda methods, spec, params, grid: calls.append((spec, params)) or [])
+    assert main(["perfmodel", "--nodes", "64,128"]) == 0
+    assert main(["perfmodel", "--nodes", "64,128",
+                 *_flags(PARAMS_SETTINGS), *_flags(SPEC_SETTINGS)]) == 0
+    capsys.readouterr()
+    assert calls == [(MachineSpec(nodes=64), CostModelParams()),
+                     (MachineSpec(nodes=64, **SPEC_SETTINGS),
+                      CostModelParams(**PARAMS_SETTINGS))]
+
+
+POISSON = ["--problem", "poisson2d", "--n", "8"]
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["solve", *POISSON, "--solver", "cgfgmres", "--sigma", "nan"], "sigma"),
+    (["solve", *POISSON, "--solver", "pcg", "--atol", "nan"], "atol"),
+    (["solve", *POISSON, "--solver", "pcg", "--rtol", "nan"], "rtol"),
+    (["solve", *POISSON, "--solver", "fgmres", "--pc", "noisy", "--eta", "nan"], "eta"),
+    (["compare", *POISSON, "--methods", "fcg,gcr", "--pc", "noisy", "--eta", "inf"], "eta"),
+    (["solve", "--problem", "toy-diag", "--cond", "nan", "--solver", "pcg"], "cond"),
+    (["solve", "--problem", "sinker", "--contrast", "inf", "--solver", "pcg"], "contrast"),
+    (["perfmodel", "--latency", "nan"], "latency"),
+    (["perfmodel", "--unknowns", "inf"], "unknowns"),
+    (["perfmodel", "--nz", "nan"], "nonzeros_per_row"),
+    (["probe", *POISSON, "--samples", "0"], "sample"),
+    (["solve", "--problem", "toy-diag", "--cond", "0.5", "--solver", "pcg"], "cond"),
+    (["solve", "--problem", "poisson2d", "--n", "1", "--solver", "pcg"], "points per side"),
+    (["solve", "--problem", "sinker", "--n", "2", "--solver", "pcg"], "cells per side"),
+    (["solve", "--problem", "identity", "--n", "0", "--solver", "pcg"], "n >= 1"),
+])
+def test_invalid_settings_exit_one_before_any_output(argv, setting, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)] if argv[0] != "probe" else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and setting in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_compare_calls_the_builders_solve_and_writer_through_the_module(
+        tmp_path, monkeypatch, capsys):
+    # a caller that replaces these names on the module sees every call
+    called = []
+    for name in ("make_poisson", "solve", "write_compare_csv"):
+        def counted(*args, _name=name, _call=getattr(cli, name), **kwargs):
+            called.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["compare", *POISSON, "--pc", "jacobi", "--methods", "pcg,fgmres",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    capsys.readouterr()
+    assert called == ["make_poisson", "solve", "solve", "write_compare_csv"]

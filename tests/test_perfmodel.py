@@ -161,3 +161,17 @@ def test_cost_params_validation_and_window_average():
 def test_iteration_cost_rejects_negative_components():
     with pytest.raises(ValueError, match="nonnegative"):
         IterationCost(method="fcg", nodes=1, t_calc=-1.0, t_red=0.0)
+
+
+def test_crossover_does_not_depend_on_the_grid_order():
+    assert find_crossover("fcg", "pipefcg", SPEC, PARAMS, (65536, 1024)) == 65536
+    assert find_crossover("fcg", "pipefcg", SPEC, PARAMS, (65536, 1024, 65536)) == 65536
+
+
+@pytest.mark.parametrize("cls", [MachineSpec, CostModelParams])
+def test_every_float_field_must_be_finite(cls):
+    for field in dataclasses.fields(cls):
+        if isinstance(field.default, float):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{field.name} must be finite"):
+                    cls(**{field.name: value})

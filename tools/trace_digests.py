@@ -16,6 +16,12 @@ both sides of a change and diff the output:
 
 Each line reads
 ``case method iterations stop_reason trace=... events=... bare=...``.
+The last line, ``cli compare=... perfmodel=... probe=... help=...``,
+digests the command line's exit codes and output through
+``pipekrylov.cli.main``: a 14-method noisy ``compare`` (its CSV bytes and
+standard output), the ``perfmodel --crossover fcg,pipefcg`` CSV, a
+``probe`` report and the four subcommands' ``--help`` texts at 80
+columns.
 
 The BLAS thread count can change the rounding of large dot products;
 compare runs made with the same ``OPENBLAS_NUM_THREADS``.
@@ -23,11 +29,15 @@ compare runs made with the same ``OPENBLAS_NUM_THREADS``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import os
+import tempfile
 
 import numpy as np
 
+from pipekrylov import cli
 from pipekrylov.linalg import SparseOperator
 from pipekrylov.preconditioners import (
     IdentityPreconditioner,
@@ -162,12 +172,42 @@ def digest(case: str, method: str) -> tuple[str, str, str, int, str]:
             res.iterations, res.stop_reason)
 
 
+def _cli_output(argv: list[str], csv_path: str | None = None) -> bytes:
+    """Exit code and standard output of one command, then the CSV it wrote."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ([] if csv_path is None else ["--out", csv_path]))
+    data = f"{code}\n{out.getvalue()}".encode()
+    if csv_path is not None:
+        with open(csv_path, "rb") as handle:
+            data += handle.read()
+    return data
+
+
+def cli_digests() -> dict[str, str]:
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {
+            "compare": _cli_output(
+                ["compare", "--problem", "poisson2d", "--n", "32", "--pc", "noisy",
+                 "--methods", ",".join(METHODS)], os.path.join(tmp, "compare.csv")),
+            "perfmodel": _cli_output(["perfmodel", "--crossover", "fcg,pipefcg"],
+                                     os.path.join(tmp, "perfmodel.csv")),
+            "probe": _cli_output(["probe", "--problem", "poisson2d", "--n", "8",
+                                  "--pc", "noisy", "--samples", "20"]),
+            "help": b"".join(_cli_output([command, "--help"])
+                             for command in ("solve", "compare", "perfmodel", "probe")),
+        }
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
 def main() -> None:
     for case in CASES:
         for method in METHODS:
             trace, events, bare, iters, reason = digest(case, method)
             print(f"{case} {method} {iters} {reason} trace={trace} events={events} "
                   f"bare={bare}")
+    print("cli " + " ".join(f"{name}={value}" for name, value in cli_digests().items()))
 
 
 if __name__ == "__main__":
