@@ -7,9 +7,10 @@ solver and cost-model options are the fields of ``SolverConfig``,
 ``CostModelParams`` and ``MachineSpec`` with their defaults (``max_it``
 is ``--max-it``, ``nonzeros_per_row`` is ``--nz``, and ``nodes`` comes
 from ``--nodes``), and the dataclasses' checks validate them.  Every
-invalid input raises ``ValueError``, reported as one ``error:`` line
-with exit status 1; an unrecoverable breakdown, or with ``--strict`` the
-iteration limit reached without convergence, exits 2.
+invalid input raises ``ValueError`` before anything is solved; it is
+reported, like an ``OSError`` from a trace writer, as one ``error:``
+line with exit status 1.  An unrecoverable breakdown, or with
+``--strict`` the iteration limit reached without convergence, exits 2.
 
 The problem builders, ``solve`` and the trace writers are looked up as
 module globals at call time, so that a caller may replace them here.
@@ -18,6 +19,8 @@ module globals at call time, so that a caller may replace them here.
 from __future__ import annotations
 
 import argparse
+import inspect
+import os
 import sys
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional, get_type_hints
@@ -39,7 +42,7 @@ from .problems import (
     make_sinker,
     make_toy_diagonal,
 )
-from .solvers import SolveResult, SolverConfig, prescale_operator, solve
+from .solvers import SolveResult, SolverConfig, check_operator, prescale_operator, solve
 from .traceio import write_compare_csv, write_perfmodel_csv, write_trace_csv
 
 __all__ = ["main"]
@@ -78,6 +81,17 @@ def _cast_str(key: str, raw: str) -> str:
 
 def _cast_name(key: str, raw: str) -> str:
     return _canon(raw)
+
+
+def _cast_out(key: str, raw: str) -> str:
+    """A path to write, checked before anything is solved."""
+    path = raw.strip()
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write --{key} {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write --{key} {path}: it is a directory")
+    return path
 
 
 def _cast_bool(key: str, raw: str) -> bool:
@@ -130,16 +144,25 @@ def _kinds(names: tuple[str, ...]) -> str:
     return ", ".join(name.replace("_", "-") for name in names)
 
 
+# The preconditioner's keyword options and their defaults.
+_PC_DEFAULTS = {name: param.default for name, param
+                in inspect.signature(make_preconditioner).parameters.items()
+                if param.kind is param.KEYWORD_ONLY}
+
 _PROBLEM_OPTS = (
     _Opt("problem", _cast_name, None, "problem kind: " + _kinds(PROBLEM_KINDS)),
     _Opt("n", _cast_int, 16, "problem size (vector length or points per side)"),
     _Opt("cond", _cast_float, 100.0, "condition number of the toy diagonal"),
     _Opt("contrast", _cast_float, 100.0, "coefficient contrast of the sinker"),
     _Opt("pc", _cast_name, "identity", "preconditioner kind: " + _kinds(PRECONDITIONER_KINDS)),
-    _Opt("eta", _cast_float, 1e-4, "noise magnitude of the noisy preconditioner"),
-    _Opt("n_blocks", _cast_int, 4, "block count of the block-Jacobi preconditioner"),
-    _Opt("inner_iters", _cast_int, 5, "inner iterations of the nested preconditioners"),
-    _Opt("seed", _cast_int, 0, "seed for problem data, noise, and power iteration"),
+    _Opt("eta", _cast_float, _PC_DEFAULTS["eta"],
+         "noise magnitude of the noisy preconditioner"),
+    _Opt("n_blocks", _cast_int, _PC_DEFAULTS["n_blocks"],
+         "block count of the block-Jacobi preconditioner"),
+    _Opt("inner_iters", _cast_int, _PC_DEFAULTS["inner_iters"],
+         "inner iterations of the nested preconditioners"),
+    _Opt("seed", _cast_int, _PC_DEFAULTS["seed"],
+         "seed for problem data, noise, and power iteration"),
     _Opt("general", _cast_bool, False,
          "drop the operator's symmetric flag (validation experiments)", is_flag=True),
 )
@@ -162,7 +185,7 @@ _SOLVER_OPTS = _field_opts(SolverConfig, {
     _Opt("strict", _cast_bool, False,
          "exit 2 when the iteration limit is reached without convergence",
          is_flag=True),
-    _Opt("out", _cast_str, None, "output CSV path"),
+    _Opt("out", _cast_out, None, "output CSV path"),
 )
 
 _SOLVE_OPTS = _PROBLEM_OPTS + (_Opt("solver", _cast_name, None, "method name"),) + _SOLVER_OPTS
@@ -191,7 +214,7 @@ _PERFMODEL_OPTS = (
     "latency": "message latency in seconds",
     "flop_time": "seconds per flop",
 }, skip=("nodes",)) + (
-    _Opt("out", _cast_str, None, "output CSV path (default: standard output)"),
+    _Opt("out", _cast_out, None, "output CSV path (default: standard output)"),
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -274,9 +297,8 @@ def _build_operator(values: dict) -> tuple[ProblemInstance, SparseOperator]:
 
 
 def _build_pc(values: dict, A: SparseOperator):
-    return make_preconditioner(values["pc"], A, eta=values["eta"],
-                               seed=values["seed"], n_blocks=values["n_blocks"],
-                               inner_iters=values["inner_iters"])
+    return make_preconditioner(values["pc"], A,
+                               **{name: values[name] for name in _PC_DEFAULTS})
 
 
 def _summary_line(method: str, result: SolveResult) -> str:
@@ -331,6 +353,8 @@ def _cmd_compare(values: dict) -> int:
     configs = [_from_opts(SolverConfig, values, method=method)
                for method in _method_list(_require(values, "methods"), "methods")]
     problem, A = _build_operator(values)
+    for cfg in configs:
+        check_operator(cfg, A)
     status = 0
     runs = []
     for cfg in configs:
@@ -397,7 +421,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _, schema, handler = _COMMANDS[ns.command]
     try:
         return handler(_merge(schema, ns))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

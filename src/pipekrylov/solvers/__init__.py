@@ -3,30 +3,24 @@
 Fourteen method variants are organized in four families (conjugate
 gradients, flexible conjugate gradients, conjugate residuals, flexible
 minimal residual); :func:`solve` validates the input and dispatches to
-the family driver.  Every driver is built on one run skeleton,
-:class:`~.common.Driver`: it logs row 0, runs the tail of each accepted
-row and the breakdown path (refill, flagged row, restart or stop) under
-the stopping, stagnation and restart policy of :class:`RunControl`.  A
-method supplies only its refill, its per-iteration step and its
-per-row constants, the counts of blocking and overlappable reduction
-phases.  Two loops serve all 14 methods: the windowed driver runs the
-CG, FCG and CR families, and the minimal-residual family runs a
-restarted cycle.  Each has two switches, ``fused`` (the
-reductions batched into one blocking phase) and ``pipelined`` (that
-phase made overlappable).  The windowed driver takes its products with
-u = B(r) for FCG and with w = A u for CR (``residual``); ``naive`` gives
-``pipefcg_naive``, ``recur_w`` off gives ``pipegcr``, and ``short`` gives
-the two-term recurrences with no window: the CG family's Fletcher-Reeves
-update and, with ``residual``, ``pcr``'s preconditioned CR.  The other
-FCG and CR methods keep their retained directions in one :class:`~.common.DirectionWindow`, a ring of
-``numax`` slots in one block, a slot's vectors side by side; its
-coefficients and its new directions are one stacked product each.  The
-minimal-residual driver is a restarted cycle on the skeleton's row tail
-and breakdown path.  It keeps its basis and images side by side in the
-rows of one block, projects and updates with one product each, and forms
-the iterate only on rows the recorder reads
-(:attr:`~.common.TraceRecorder.reads_iterate`), at the
-end of a cycle, on a breakdown and on exit.
+the family driver.  One loop serves all 14 methods,
+:meth:`~.common.Driver.run`: it logs row 0, finishes each accepted row,
+runs the breakdown path (refill, flagged row, restart or stop) and
+applies the stopping, stagnation and restart policy.  A method supplies
+only its refill, its per-iteration step and its per-row constants, the
+counts of blocking and overlappable reduction phases.  Each family has
+two switches, ``fused`` (the reductions batched into one blocking phase)
+and ``pipelined`` (that phase made overlappable).  The windowed driver
+(:mod:`.windowed`) runs the CG, FCG and CR families; all but the
+window-free CG family and ``pcr`` keep their retained directions in one
+:class:`~.common.DirectionWindow`, a ring of ``numax`` slots in one
+block, whose coefficients and new directions are one stacked product
+each.  The minimal-residual step (:mod:`.gmres`) adds one column of a
+restarted cycle; the row that fills a cycle asks the loop to refill
+after it.  It keeps its basis and images side by side in the rows of
+one block and forms the iterate only on rows the recorder reads
+(:attr:`~.common.TraceRecorder.reads_iterate`), before a refill and on
+exit.
 """
 
 from __future__ import annotations
@@ -76,6 +70,7 @@ __all__ = [
     "IterationTrace",
     "TraceRow",
     "solve",
+    "check_operator",
     "prescale_operator",
     "estimate_sigma",
     "stabilized_m_update",
@@ -117,6 +112,16 @@ def prescale_operator(A: SparseOperator) -> SparseOperator:
     return A.scaled
 
 
+def check_operator(cfg: SolverConfig, A: SparseOperator) -> None:
+    """Raise ValueError unless A is square and, for the CG, FCG and CR
+    families, flagged symmetric."""
+    if A.n_rows != A.n_cols:
+        raise ValueError("operator must be square")
+    if cfg.method in SYMMETRIC_REQUIRED_METHODS and not A.symmetric:
+        raise ValueError(
+            f"method {cfg.method!r} requires a symmetric-flagged operator")
+
+
 def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
           b, x0=None, x_true=None,
           observer: Optional[Callable] = None, seed: int = 0) -> SolveResult:
@@ -139,8 +144,7 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     violating preconditioner surfaces as breakdown or stagnation rather
     than an error.
     """
-    if A.n_rows != A.n_cols:
-        raise ValueError("operator must be square")
+    check_operator(cfg, A)
     b = as_vector(b)
     if b.shape[0] != A.n_rows:
         raise ValueError(
@@ -155,9 +159,6 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     for name, v in (("right-hand side", b), ("initial guess", x0), ("x_true", x_true)):
         if v is not None and not np.all(np.isfinite(v)):
             raise ValueError(f"{name} holds NaN or inf")
-    if cfg.method in SYMMETRIC_REQUIRED_METHODS and not A.symmetric:
-        raise ValueError(
-            f"method {cfg.method!r} requires a symmetric-flagged operator")
 
     unscale = None
     A_run, b_run, x0_run, x_true_run = A, b, x0, x_true

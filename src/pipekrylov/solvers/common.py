@@ -32,7 +32,6 @@ __all__ = [
     "stabilized_m_update",
     "estimate_sigma",
     "TraceRecorder",
-    "RunControl",
     "Driver",
     "DirectionWindow",
 ]
@@ -375,61 +374,17 @@ class TraceRecorder:
                                       for k, v in payload.items()})
 
 
-class RunControl:
-    """Stopping and restart policy shared by every method driver.
+class Driver:
+    """The run loop of every method, with its stopping and restart policy.
 
     Convergence: natural norm <= max(rtol * initial natural norm, atol).
     Stagnation: the best natural norm fails to improve by STAGNATION_RTOL
-    relative over ``window`` consecutive iterations (0 disables).
+    relative over ``stagnation_window`` consecutive iterations (0 disables).
     Breakdown recovery: a restart is allowed only if the best natural norm
-    strictly improved since the previous restart; a second consecutive
-    restart without progress is unrecoverable.
-    """
-
-    def __init__(self, cfg: SolverConfig, natural0: float):
-        self.threshold = max(cfg.rtol * natural0, cfg.atol)
-        self._hit_reason = "atol" if cfg.atol > cfg.rtol * natural0 else "rtol"
-        self._window = cfg.stagnation_window
-        self.best = natural0
-        self._best_hist = [natural0]
-        self._best_at_restart: Optional[float] = None
-
-    def converged(self, natural: float) -> bool:
-        return natural <= self.threshold
-
-    @property
-    def converged_reason(self) -> str:
-        return self._hit_reason
-
-    def note(self, natural: float) -> Optional[str]:
-        """Record one iteration; returns "stagnation" when the window trips."""
-        if natural < self.best:
-            self.best = natural
-        self._best_hist.append(self.best)
-        if self._window and len(self._best_hist) > self._window:
-            ref = self._best_hist[-1 - self._window]
-            if self.best > (1.0 - STAGNATION_RTOL) * ref:
-                return "stagnation"
-        return None
-
-    def allow_restart(self) -> bool:
-        """True when a breakdown may be answered with a restart."""
-        if self._best_at_restart is not None and self.best >= self._best_at_restart:
-            return False
-        self._best_at_restart = self.best
-        return True
-
-
-class Driver:
-    """Run skeleton shared by every method driver.
-
-    It logs row 0, runs the tail of each accepted row (log, observe,
-    convergence, stagnation) and the breakdown path (refill, flagged row,
-    restart or stop); a row after a refill adds one blocking phase to the
-    method's per-row reduction-phase constants.  Results are
-    ``(x, converged, iterations, stop_reason)``.  Drivers rebind the
-    iterate on every update and never change it in place: the recorder
-    keeps a reference to the last one logged.
+    strictly improved since the previous restart.  A row after a refill
+    adds one blocking phase to the method's per-row reduction-phase
+    constants.  Methods rebind the iterate and never change it in place:
+    the recorder keeps a reference to the last one logged.
     """
 
     def __init__(self, cfg: SolverConfig, rec: TraceRecorder, blocking: int,
@@ -439,85 +394,105 @@ class Driver:
         self.blocking = blocking
         self.overlapped = overlapped
         self.tags = tags
-        self.ctl: Optional[RunControl] = None
-        # set when a restart cycle refilled the residual; the next row
-        # carries that refill's blocking phase and the restarted flag
-        self.cycle_restart = False
 
-    def run(self, x: np.ndarray, refill: Callable, step: Callable):
-        """The iteration loop of a method given as two functions.
+    def run(self, x: np.ndarray, refill: Callable, step: Callable,
+            formed: Callable = lambda x: x):
+        """Run a method given as its refill and its step; returns
+        ``(x, converged, iterations, stop_reason)``.
 
-        ``refill(x)`` rebuilds the method's state from the iterate, empties
-        its window, and returns ``(natural, ok, state)``; ``ok`` is False
-        when a coupling scalar of the new state is not positive.
-        ``step(x)`` runs one iteration and returns ``(x, row)``, where row
-        is the arguments of :meth:`accept` after ``(i, x)``, or None on
-        breakdown.  ``state`` and ``direction`` are the observer payloads.
+        ``refill(x)`` rebuilds the state from the iterate, empties the
+        window, and returns ``(natural, ok, state)``; ``ok`` is False when a
+        coupling scalar of the new state is not positive.  ``step(x)``
+        returns ``(x, row)``: the arguments of :meth:`_accept` after
+        ``(i, x)``, or on breakdown None or the keywords of
+        :meth:`_recover`.  ``formed(x)`` forms a lazily kept iterate before
+        each later refill and on exit.  ``state`` and ``direction`` are the
+        observer payloads.
         """
-        done = self.start(x, *refill(x))
-        i = 0
-        while done is None and i < self.cfg.max_it:
-            i += 1
-            x, row = step(x)
-            if row is None:
-                done = self.recover(i, x, *refill(x))
-            else:
-                done = self.accept(i, x, *row)
-            # drop the row's vectors, so the next step frees each old
-            # vector as it replaces it
-            del row
-        return done or (x, False, i, "max_it")
-
-    def start(self, x, natural, ok: bool, state: dict):
-        """Log row 0; returns the result when the run ends there."""
-        self.ctl = RunControl(self.cfg, natural)
+        cfg = self.cfg
+        self._refill, self._formed = refill, formed
+        natural, ok, state = refill(x)
+        self._threshold = max(cfg.rtol * natural, cfg.atol)
+        self._reached = "atol" if cfg.atol > cfg.rtol * natural else "rtol"
+        self._best = [natural]          # the best natural norm after each row
+        self._best_at_restart = math.inf
+        # set by a refill that the next row carries, with its blocking phase
+        # and the restarted flag
+        self._carried = False
         self.rec.log(0, x, natural, 0, 0, 0, NO_TAGS,
                      breakdown=not ok and natural > 0.0)
         self.rec.observe("state", 0, x=x, **state)
-        if self.ctl.converged(natural):
-            return x, True, 0, self.ctl.converged_reason
-        return None if ok else (x, False, 0, UNRECOVERABLE)
+        stop = (self._reached if natural <= self._threshold
+                else None if ok else UNRECOVERABLE)
+        i = 0
+        while stop is None and i < cfg.max_it:
+            i += 1
+            x, row = step(x)
+            if isinstance(row, tuple):
+                x, stop = self._accept(i, x, *row)
+            else:
+                x, stop = self._recover(i, x, **(row or {}))
+            # drop the row's vectors, so the next step frees each old
+            # vector as it replaces it
+            del row
+        return formed(x), stop == self._reached, i, stop or "max_it"
 
-    def accept(self, i, x, natural, nu, state: dict,
-               direction: Optional[dict] = None,
-               breakdown=False, restarted=False):
-        """Tail of an accepted row; returns the result when the run stops."""
+    def _accept(self, i, x, natural, nu, state: dict,
+                direction: Optional[dict] = None,
+                breakdown=False, restarted=False, fills_cycle=False):
+        """Log an accepted row; returns ``(x, stop_reason or None)``.
+        ``fills_cycle`` marks the row that fills a restart cycle: the state
+        is refilled after it with no row of its own, the next row carries
+        that refill, and an exact or non-finite refill ends the run here."""
         self._log(i, x, natural, nu, 0, breakdown,
-                  restarted or self.cycle_restart, state)
+                  restarted or self._carried, state)
         if direction is not None:
             self.rec.observe("direction", i, **direction)
-        if self.ctl.converged(natural):
-            return x, True, i, self.ctl.converged_reason
-        return self._stagnated(i, x, natural)
+        if natural <= self._threshold:
+            return x, self._reached
+        stop = self._stagnated(natural)
+        if fills_cycle and stop is None:
+            x = self._formed(x)
+            natural = self._refill(x)[0]
+            self._carried = True
+            stop = (UNRECOVERABLE if not math.isfinite(natural)
+                    else self._reached if natural == 0.0 else None)
+        return x, stop
 
-    def recover(self, i, x, natural, ok: bool, state: dict, nu=0,
-                breakdown=True):
-        """Breakdown path once the state is refilled from x.
-
-        A refill that uncovers convergence ends the run.  Otherwise the row
-        is flagged and the run restarts if ``ok`` and the restart policy
-        allow it; ``breakdown=False`` marks a vanished minimal-residual
-        column, which always restarts.
-        """
+    def _recover(self, i, x, nu=0, breakdown=True):
+        """The breakdown path: refill from the formed iterate and log a
+        flagged row; returns ``(x, stop_reason or None)``.  A non-finite
+        refill ends the run with no row, one that uncovers convergence ends
+        it on a row not flagged restarted.  Otherwise the run restarts if
+        ``ok`` and the restart policy allow; ``breakdown=False`` marks a
+        vanished minimal-residual column, which always restarts."""
+        x = self._formed(x)
+        natural, ok, state = self._refill(x)
         if not math.isfinite(natural):
-            return x, False, i, UNRECOVERABLE
-        if self.ctl.converged(natural):
-            # the refill uncovered convergence, not a failed recovery
-            self._log(i, x, natural, nu, 1, breakdown, False, state)
-            return x, True, i, self.ctl.converged_reason
-        restart = not breakdown or (ok and self.ctl.allow_restart())
+            return x, UNRECOVERABLE
+        converged = natural <= self._threshold
+        restart = not converged and (
+            not breakdown or ok and self._best[-1] < self._best_at_restart)
+        if restart and breakdown:
+            self._best_at_restart = self._best[-1]
         self._log(i, x, natural, nu, 1, breakdown, restart, state)
-        if not restart:
-            return x, False, i, UNRECOVERABLE
-        return self._stagnated(i, x, natural)
+        if converged:
+            return x, self._reached
+        return x, self._stagnated(natural) if restart else UNRECOVERABLE
 
     def _log(self, i, x, natural, nu, refills, breakdown, restarted, state):
-        refills += self.cycle_restart
-        self.cycle_restart = False
+        refills += self._carried
+        self._carried = False
         self.rec.log(i, x, natural, nu, self.blocking + refills, self.overlapped,
                      self.tags, breakdown=breakdown, restarted=restarted)
         self.rec.observe("state", i, x=x, **state)
 
-    def _stagnated(self, i, x, natural):
-        stag = self.ctl.note(natural)
-        return None if stag is None else (x, False, i, stag)
+    def _stagnated(self, natural) -> Optional[str]:
+        """Record a row's natural norm; "stagnation" when the window trips."""
+        best = min(natural, self._best[-1])
+        self._best.append(best)
+        window = self.cfg.stagnation_window
+        if (window and len(self._best) > window
+                and best > (1.0 - STAGNATION_RTOL) * self._best[-1 - window]):
+            return "stagnation"
+        return None

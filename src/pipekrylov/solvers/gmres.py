@@ -6,9 +6,10 @@ Givens rotations; the natural residual norm is the magnitude of the
 rotated right-hand-side tail.  Row k of one (restart_len, 2|3, n) block,
 allocated once per solve, holds V[k] and U[k] side by side; column k
 projects z = A·U[k-1] - sigma*V[k-1] onto V in one stacked product, and
-each update is one product with the block.  The iterate x_cycle + U y is
-formed only where it is read: on every row when the recorder reads it,
-at the end of a full cycle, on a breakdown and on every exit.
+each update is one product with the block.  Each step of the shared loop
+adds one column; the row that fills the cycle asks the loop to refill
+after it.  The iterate x_cycle + U y is formed only where it is read: on
+every row when the recorder reads it, before a refill and on exit.
 
 With sigma = 0 (always for ``fgmres``, by default for the other two) the
 column takes z = A·U[k-1] itself, with no shift pass.  That is bitwise
@@ -31,7 +32,8 @@ the back substitution of the triangular system, of order <= restart_len.
   rows before k gives row k.  The others keep only the newest A·U[k-1].
 
 A failed identity or a vanished rotated column ends the cycle early: the
-iterate is finalized, the residual refilled, and the cycle restarts.
+iterate is formed, the residual refilled, and the cycle restarts; a
+non-finite column ends the run.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from ..linalg import blocks, dot, maxpy, mdot, norm2, stacked_maxpy
-from .common import NO_TAGS, UNRECOVERABLE, Driver
+from .common import NO_TAGS, Driver
 
 PIPEFGMRES_TAGS = frozenset({"pc", "spmv"})
 
@@ -96,97 +98,85 @@ class _LeastSquares:
 
 
 def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
-    if pipelined:
-        drv = Driver(cfg, rec, 0, 1, PIPEFGMRES_TAGS)
-    else:
-        drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
     sigma = cfg.sigma if fused else 0.0
     mlen = cfg.restart_len
     eager = rec.reads_iterate
     cycle = blocks(mlen, 3 if pipelined else 2, b.shape[0])
     V, U = cycle[:, 0], cycle[:, 1]
-    x = x0.copy()
-    r = b - A.apply(x)
-    beta = norm2(r)
-    done = drv.start(x, beta, True, {"r": r})
-    i = 0
-    while done is None:
-        V[0] = r / beta
+    x_cycle = r = beta = ls = au = z = qb = wb = coeffs = zbar = None
+    k = i = 0       # the cycle's accepted columns; the last row's index
+    hsub = d = 0.0  # the last column's subdiagonal entry and rotated length
+
+    def refill(x):
+        """Start a new cycle from x; a non-finite column ends the run."""
+        nonlocal x_cycle, k, r, beta, ls
+        x_cycle, k = x, 0
+        if not math.isfinite(d):
+            return math.nan, False, {}
+        r = b - A.apply(x)
+        beta = norm2(r)
         ls = _LeastSquares(mlen, beta)
-        x_cycle = x
-        rec.observe("basis", i, v=V[0])
-        k = 0
-        while k < mlen:
-            if i >= cfg.max_it:
-                return ls.iterate(x_cycle, U, k), False, i, "max_it"
-            if k == 0 or not pipelined:
-                # pipefgmres recurs the images of every later column
-                U[k] = B.apply(V[k])
-                au = A.apply(U[k])
-                if pipelined:
-                    cycle[0, 2] = au
-            z = au - sigma * V[k] if sigma else au
-            if pipelined:
-                qb = B.apply(z)
-                wb = A.apply(qb)
-            k += 1
-            i += 1
-            hb = mdot(V[:k], z)                     # reduction phase 1
-            coeffs = -hb
-            if fused:
-                t = dot(z, z) - float(hb @ hb)      # batched into phase 1
-                failed = not (t >= 0.0 and math.isfinite(t))
-                hsub = 0.0 if failed else math.sqrt(t)
-            else:
-                zbar = maxpy(z, coeffs, V[:k])
-                hsub = norm2(zbar)                  # blocking phase 2
-                failed = False
-            d = 0.0
-            if not failed:
-                col = hb.tolist()
-                col.append(hsub)
-                col[k - 1] += sigma
-                d = ls.rotate(col, k)
-                if not math.isfinite(d):
-                    return ls.iterate(x_cycle, U, k - 1), False, i, UNRECOVERABLE
-            if failed or d == 0.0:
-                # the Pythagorean identity lost positivity, or the rotated
-                # column vanished: finalize the subspace solution, refill
-                # the residual, and restart the cycle from it
-                x = ls.iterate(x_cycle, U, k - 1)
-                r = b - A.apply(x)
-                beta = norm2(r)
-                done = drv.recover(i, x, beta, True, {"r": r}, nu=k,
-                                   breakdown=failed)
-                break
-            natural = ls.append(col, k, d)
-            # a row that reads no iterate logs the last one formed
-            if eager:
-                x = ls.iterate(x_cycle, U, k)
-            done = drv.accept(i, x, natural, k, {})
-            if done:
-                return (ls.iterate(x_cycle, U, k),) + done[1:]
-            if k == mlen:
-                continue                # the cycle is full: refill below
-            if pipelined:
-                stacked_maxpy((z, qb, wb), coeffs, cycle[:k], out=cycle[k])
-                cycle[k] /= hsub
-                au = cycle[k, 2]
-            else:
-                V[k] = (maxpy(z, coeffs, V[:k]) if fused else zbar) / hsub
-            rec.observe("basis", i, v=V[k])
+        return beta, True, {"r": r}
+
+    def step(x):
+        nonlocal k, i, au, z, qb, wb, coeffs, zbar, hsub, d
+        # the basis vector V[k]: the refilled residual opens a cycle, later
+        # ones come from the last accepted column
+        if k == 0:
+            V[0] = r / beta
+        elif pipelined:
+            stacked_maxpy((z, qb, wb), coeffs, cycle[:k], out=cycle[k])
+            cycle[k] /= hsub
+            au = cycle[k, 2]
         else:
-            # a full cycle: its residual refill is carried by the next
-            # cycle's first row; an exact or non-finite refill ends the run
-            x = ls.iterate(x_cycle, U, mlen)
-            r = b - A.apply(x)
-            beta = norm2(r)
-            drv.cycle_restart = True
-            if not math.isfinite(beta):
-                return x, False, i, UNRECOVERABLE
-            if beta == 0.0:
-                return x, True, i, drv.ctl.converged_reason
-    return done
+            V[k] = (maxpy(z, coeffs, V[:k]) if fused else zbar) / hsub
+        rec.observe("basis", i, v=V[k])
+        i += 1
+        if k == 0 or not pipelined:
+            # pipefgmres recurs the images of every later column
+            U[k] = B.apply(V[k])
+            au = A.apply(U[k])
+            if pipelined:
+                cycle[0, 2] = au
+        z = au - sigma * V[k] if sigma else au
+        if pipelined:
+            qb = B.apply(z)
+            wb = A.apply(qb)
+        j = k + 1
+        hb = mdot(V[:j], z)                     # reduction phase 1
+        coeffs = -hb
+        if fused:
+            t = dot(z, z) - float(hb @ hb)      # batched into phase 1
+            failed = not (t >= 0.0 and math.isfinite(t))
+            hsub = 0.0 if failed else math.sqrt(t)
+        else:
+            zbar = maxpy(z, coeffs, V[:j])
+            hsub = norm2(zbar)                  # blocking phase 2
+            failed = False
+        d = 0.0
+        if not failed:
+            col = hb.tolist()
+            col.append(hsub)
+            col[k] += sigma
+            d = ls.rotate(col, j)
+        if not 0.0 < d < math.inf:
+            # the Pythagorean identity lost positivity, or the rotated
+            # column vanished or is not finite: the run restarts from the
+            # iterate of the accepted columns
+            return x, {"nu": j, "breakdown": failed}
+        natural = ls.append(col, j, d)
+        k = j
+        # a row that reads no iterate logs the last one formed
+        if eager:
+            x = ls.iterate(x_cycle, U, k)
+        return x, (natural, k, {}, None, False, False, k == mlen)
+
+    if pipelined:
+        drv = Driver(cfg, rec, 0, 1, PIPEFGMRES_TAGS)
+    else:
+        drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
+    # the iterate of the cycle's accepted columns, formed on exit
+    return drv.run(x0.copy(), refill, step, lambda x: ls.iterate(x_cycle, U, k))
 
 
 DRIVERS = {

@@ -436,3 +436,28 @@ def test_compare_calls_the_builders_solve_and_writer_through_the_module(
                  "--out", str(tmp_path / "c.csv")]) == 0
     capsys.readouterr()
     assert called == ["make_poisson", "solve", "solve", "write_compare_csv"]
+
+
+def test_compare_checks_every_method_against_the_operator_before_solving(capsys):
+    assert main(["compare", "--general", "--methods", "fgmres,pcg", *POISSON]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: method 'pcg' requires a symmetric-flagged operator\n"
+    assert "fgmres:" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_unwritable_out_is_one_error_line(command, tmp_path, monkeypatch, capsys):
+    argv = [command, *POISSON, "--solver" if command == "solve" else "--methods", "pcg"]
+    # a missing directory is rejected before anything is solved
+    assert main(argv + ["--out", str(tmp_path / "missing" / "c.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --out ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    # an OSError from the writer takes the same path
+    def fail(target, *args):
+        raise OSError(f"cannot open {target}")
+    monkeypatch.setattr(cli, "write_trace_csv" if command == "solve" else "write_compare_csv",
+                        fail)
+    out = str(tmp_path / "c.csv")
+    assert main(argv + ["--out", out]) == 1
+    assert capsys.readouterr().err == f"error: cannot open {out}\n"

@@ -212,6 +212,8 @@ LAZY_ITERATE_CASES = {
     "rtol": (JacobiPreconditioner, {}, "rtol"),
     "max_it-mid-cycle": (JacobiPreconditioner, dict(max_it=17, restart_len=10),
                          "max_it"),
+    "max_it-at-cycle-end": (JacobiPreconditioner, dict(max_it=20, restart_len=10),
+                            "max_it"),
     "stagnation": (JacobiPreconditioner,
                    dict(rtol=1e-30, stagnation_window=30, max_it=600), "stagnation"),
     # a zero image on call 3 ends the first cycle early on column 4
@@ -233,6 +235,8 @@ def test_lazy_iterate_matches_the_eager_one_bitwise(method, case):
         assert bare.trace[4].restarted
     if case == "max_it-mid-cycle":
         assert bare.trace[11].restarted and bare.iterations == 17
+    if case == "max_it-at-cycle-end":
+        assert bare.trace[11].restarted and bare.iterations == 20
 
 
 @st.composite

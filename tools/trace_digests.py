@@ -113,6 +113,9 @@ CASES = {
     "truncation-standard": (lambda: _poisson(JacobiPreconditioner),
                             dict(truncation="standard", numax=5)),
     "restart-10": (lambda: _poisson(JacobiPreconditioner), dict(restart_len=10)),
+    # the GMRES methods reach max_it on the row that fills their second cycle
+    "max-it-cycle-end": (lambda: _poisson(JacobiPreconditioner),
+                         dict(restart_len=10, max_it=20)),
     "sigma-auto-5": (lambda: _poisson(JacobiPreconditioner),
                      dict(sigma_auto_power=5)),
     # the identity preconditioner does not depend on the scaled operator
