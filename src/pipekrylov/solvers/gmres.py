@@ -9,7 +9,8 @@ projects z = A·U[k-1] - sigma*V[k-1] onto V in one stacked product, and
 each update is one product with the block.  Each step of the shared loop
 adds one column; the row that fills the cycle asks the loop to refill
 after it.  The iterate x_cycle + U y is formed only where it is read: on
-every row when the recorder reads it, before a refill and on exit.
+every row when the recorder reads it, and otherwise only before a refill
+and on exit.
 
 With sigma = 0 (always for ``fgmres``, by default for the other two) the
 column takes z = A·U[k-1] itself, with no shift pass.  That is bitwise
@@ -175,7 +176,10 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
         drv = Driver(cfg, rec, 0, 1, PIPEFGMRES_TAGS)
     else:
         drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
-    # the iterate of the cycle's accepted columns, formed on exit
+    if eager:
+        # every row already holds the iterate of the accepted columns
+        return drv.run(x0.copy(), refill, step)
+    # the iterate of the cycle's accepted columns, formed on refill and exit
     return drv.run(x0.copy(), refill, step, lambda x: ls.iterate(x_cycle, U, k))
 
 

@@ -49,8 +49,11 @@ def test_batched_draws_equal_split_draws():
 
 
 def test_negative_count_rejected():
-    with pytest.raises(ValueError, match="nonnegative"):
-        SplitMix64(0).next_uint64(-1)
+    rng = SplitMix64(0)
+    for draw in (rng.next_uint64, rng.uniform01, rng.gaussian):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="draw count must be nonnegative"):
+                draw(n)
 
 
 def test_uniform01_is_top_53_bits():
@@ -61,18 +64,36 @@ def test_uniform01_is_top_53_bits():
     assert all(0.0 <= u < 1.0 for u in got)
 
 
-def test_gaussian_matches_box_muller_oracle():
-    pairs = 3
-    raw = _scalar_stream(13, 2 * pairs)
-    expected = []
+def _box_muller_pairs(seed: int, pairs: int):
+    """Scalar Box-Muller on the oracle stream: per pair the float64 radius
+    and the float64 angle."""
+    raw = _scalar_stream(seed, 2 * pairs)
     for k in range(pairs):
         u1 = 1.0 - (raw[k] >> 11) * 2.0 ** -53
         u2 = (raw[pairs + k] >> 11) * 2.0 ** -53
-        radius = math.sqrt(-2.0 * math.log(u1))
-        expected.append(radius * math.cos(2.0 * math.pi * u2))
-        expected.append(radius * math.sin(2.0 * math.pi * u2))
-    got = SplitMix64(13).gaussian(2 * pairs)
+        yield math.sqrt(-2.0 * math.log(u1)), 2.0 * math.pi * u2
+
+
+def test_gaussian_matches_box_muller_oracle():
+    # the float64 radius times the single-precision cos and sin of the
+    # angle rounded to float32; numpy's float64 log may differ from libm's
+    # by an ulp, hence the absolute tolerance
+    expected = []
+    for radius, angle in _box_muller_pairs(13, 3):
+        theta = np.float32(angle)
+        expected.append(radius * float(np.cos(theta)))
+        expected.append(radius * float(np.sin(theta)))
+    got = SplitMix64(13).gaussian(6)
     assert np.allclose(got, expected, rtol=0.0, atol=1e-15)
+
+
+def test_gaussian_pairs_stay_within_1e_6_radius_of_float64_box_muller():
+    pairs = 4096
+    got = SplitMix64(29).gaussian(2 * pairs)
+    for k, (radius, angle) in enumerate(_box_muller_pairs(29, pairs)):
+        deviation = math.hypot(got[2 * k] - radius * math.cos(angle),
+                               got[2 * k + 1] - radius * math.sin(angle))
+        assert deviation <= 1e-6 * radius, k
 
 
 def test_gaussian_odd_count_consumes_even_draws():

@@ -38,6 +38,7 @@ from pipekrylov.solvers import (
     SolverConfig,
     solve,
 )
+from pipekrylov.solvers import gmres as gmres_module
 from pipekrylov.solvers.gmres import _LeastSquares
 from pipekrylov.traceio import write_trace_csv
 
@@ -239,6 +240,29 @@ def test_lazy_iterate_matches_the_eager_one_bitwise(method, case):
         assert bare.trace[11].restarted and bare.iterations == 20
 
 
+@pytest.mark.parametrize("case", ["rtol", "max_it-at-cycle-end"])
+def test_monitored_pipefgmres_forms_each_iterate_once(case, monkeypatch):
+    # pipefgmres forms its basis rows with stacked_maxpy, so maxpy runs
+    # only to form an iterate: once per row when each row reads it, and
+    # neither again before a refill nor on exit
+    calls, maxpy = [], gmres_module.maxpy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return maxpy(*args, **kwargs)
+
+    monkeypatch.setattr(gmres_module, "maxpy", counted)
+    prob = make_poisson(2, 32, seed=0)
+    make_pc, overrides, reason = LAZY_ITERATE_CASES[case]
+    cfg = SolverConfig(method="pipefgmres", **{"max_it": 400, "restart_len": 10,
+                                                **overrides})
+    res = solve(cfg, prob.A, make_pc(prob.A), prob.b, x_true=prob.x_true)
+    assert res.stop_reason == reason
+    assert not any(row.breakdown for row in res.trace)
+    assert any(row.restarted for row in res.trace)
+    assert len(calls) == res.iterations
+
+
 @st.composite
 def _diagonally_dominant_system(draw):
     """A random nonsymmetric sparse system with a strictly dominant positive
@@ -423,10 +447,12 @@ def _breakdown_runs():
         cfg = SolverConfig(method=method, rtol=1e-16, max_it=500, numax=100,
                            restart_len=10, stagnation_window=50)
         yield method, solve(cfg, prob.A, NoisyPreconditioner(1e-2, seed=7), prob.b), 50
-    # pcr: gamma = <B r, A B r> = sum d_i b_i^2 is exactly 0 on this b
+    # pcr: gamma = <B r, A B r> = sum d_i b_i^2 is exactly 0 on this b;
+    # gcr flags rows 2 and 4 on b = (1, 1, 0, ..., 0)
     for method, b in (("pcg", np.ones(8)), ("fcg", np.ones(8)),
                       ("cgcg", np.array([3.0, 1.0] * 4)),
-                      ("pcr", np.array([1.0] * 6 + [0.0] * 2))):
+                      ("pcr", np.array([1.0] * 6 + [0.0] * 2)),
+                      ("gcr", np.array([1.0] * 2 + [0.0] * 6))):
         yield method, _solve(method, INDEFINITE, IdentityPreconditioner(), b,
                              max_it=50), 0
 

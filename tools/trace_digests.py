@@ -12,7 +12,7 @@ line whose ``trace`` digest matches while its ``events`` digest differs
 changed only what the observer sees.  Run it from the repository root on
 both sides of a change and diff the output:
 
-    PYTHONPATH=src python3 tools/trace_digests.py > digests.txt
+    PYTHONPATH=src python3 -W error::RuntimeWarning tools/trace_digests.py > digests.txt
 
 Each line reads
 ``case method iterations stop_reason trace=... events=... bare=...``.
@@ -24,7 +24,10 @@ standard output), the ``perfmodel --crossover fcg,pipefcg`` CSV, a
 columns.
 
 The BLAS thread count can change the rounding of large dot products;
-compare runs made with the same ``OPENBLAS_NUM_THREADS``.
+compare runs made with the same ``OPENBLAS_NUM_THREADS``.  Lines whose
+solves draw Gaussian noise also depend on numpy's single-precision sine
+and cosine (see ``pipekrylov.rng``), so compare them on one machine and
+numpy build.
 """
 
 from __future__ import annotations
