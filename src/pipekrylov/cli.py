@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional, get_type_hints
 
 from .linalg import SparseOperator
+from .names import canonical_name
 from .perfmodel import (
     DEFAULT_NODE_GRID,
     MODEL_METHODS,
@@ -57,10 +58,6 @@ _PROBLEMS: dict[str, Callable[[dict], ProblemInstance]] = {
 PROBLEM_KINDS = tuple(_PROBLEMS)
 
 
-def _canon(value: str) -> str:
-    return value.strip().lower().replace("-", "_")
-
-
 def _cast_int(key: str, raw: str) -> int:
     try:
         return int(raw)
@@ -80,7 +77,7 @@ def _cast_str(key: str, raw: str) -> str:
 
 
 def _cast_name(key: str, raw: str) -> str:
-    return _canon(raw)
+    return canonical_name(raw)
 
 
 def _cast_out(key: str, raw: str) -> str:
@@ -256,7 +253,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise ValueError(
                         f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
                 key, value = line.split("=", 1)
-                entries[_canon(key)] = value.strip()
+                entries[canonical_name(key)] = value.strip()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from None
     return entries
@@ -292,7 +289,7 @@ def _build_operator(values: dict) -> tuple[ProblemInstance, SparseOperator]:
     problem = _PROBLEMS[kind](values)
     A = problem.A
     if values["general"]:
-        A = SparseOperator.from_scipy(A.csr, symmetric=False)
+        A = SparseOperator(A.n_rows, A.n_cols, A.indptr, A.indices, A.data)
     return problem, A
 
 
@@ -337,7 +334,7 @@ def _cmd_solve(values: dict) -> int:
 
 
 def _method_list(raw: str, key: str) -> list[str]:
-    methods = [_canon(m) for m in raw.split(",") if m.strip()]
+    methods = [canonical_name(m) for m in raw.split(",") if m.strip()]
     if not methods:
         raise ValueError(f"empty method list for {key}")
     deduped: list[str] = []
@@ -375,7 +372,7 @@ def _cmd_perfmodel(values: dict) -> int:
     costs = sweep(methods, spec, params, grid)
     notes = []
     if values["crossover"] is not None:
-        pair = [_canon(m) for m in values["crossover"].split(",") if m.strip()]
+        pair = [canonical_name(m) for m in values["crossover"].split(",") if m.strip()]
         if len(pair) != 2:
             raise ValueError("crossover expects exactly two methods: standard,pipelined")
         at = find_crossover(pair[0], pair[1], spec, params, grid)

@@ -13,23 +13,41 @@ over a 3-D ``(rows, columns, n)`` block as one ``(rows, columns·n)``
 matrix, strided views included, without a copy.  ``blocks`` allocates
 a solve's one block, so that earlier frees do not move its peak memory.
 
-``SparseOperator.apply`` runs one of two scipy products.  A banded
-operator, one whose diagonal (DIA) form stores at most
-``DIAGONAL_FILL_MAX`` times its nonzeros, is applied by the DIA kernel,
-which streams no column indices; any other operator by the compressed-row
-(CSR) kernel.  The two agree bit for bit on finite input: both sum each
-row in ascending column order from +0, and a padding zero of the DIA form
-adds ±0 to a partial sum that is never −0.  On a non-finite input 0·inf
-can put a NaN in a row that the CSR product leaves finite.
+``SparseOperator`` holds its compressed-row (CSR) arrays as plain numpy
+arrays and runs scipy's compiled sparse kernels on them directly: the
+extension module ``scipy/sparse/_sparsetools`` is loaded from its file,
+so that importing the package or solving never runs
+``scipy/sparse/__init__.py`` (whose array-API layer imports numpy.f2py,
+numpy.testing and more, doubling the resident memory of a process).
+The kernels called are ``csr_matvec``, ``dia_matvec``, ``csr_diagonal``,
+``csr_tocsc`` and ``csr_minus_csr`` here, and ``dia_tocsr``, ``coo_tocsr``
+and ``csr_sort_indices`` in the problem builders: the ones scipy.sparse
+itself runs for the same operations, so every result keeps its bits.
+Only the scipy views ``SparseOperator.csr`` and ``.product``, the Jacobi
+scaling ``SparseOperator.scaled`` and block Jacobi's slicing import
+scipy.sparse, on first use.
+
+``SparseOperator.apply`` runs one of two products.  A banded operator,
+one whose diagonal (DIA) form stores at most ``DIAGONAL_FILL_MAX`` times
+its nonzeros, is applied by the DIA kernel, which streams no column
+indices; any other operator by the CSR kernel.  The two agree bit for bit
+on finite input: both sum each row in ascending column order from +0, and
+a padding zero of the DIA form adds ±0 to a partial sum that is never −0.
+On a non-finite input 0·inf can put a NaN in a row that the CSR product
+leaves finite.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import mmap
+import os
+import sys
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "as_vector",
@@ -48,6 +66,48 @@ __all__ = [
 # 2-D n=128 needs 1.006, 3-D n=40 1.022 and the sinker n=64 1.013; a
 # permuted stencil or scattered entries need hundreds.
 DIAGONAL_FILL_MAX = 2
+
+# the kernels of scipy.sparse._sparsetools that the package calls
+KERNELS = ("csr_matvec", "dia_matvec", "csr_diagonal", "csr_tocsc", "csr_minus_csr",
+           "dia_tocsr", "coo_tocsr", "csr_sort_indices")
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, without importing scipy.sparse.
+
+    The extension file is loaded on its own, unless scipy.sparse is
+    already imported; where the file is not found, scipy.sparse is
+    imported after all, which runs the same kernels more slowly.
+    """
+    module = None
+    spec = None if "scipy.sparse" in sys.modules else importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        folder = os.path.join(spec.submodule_search_locations[0], "sparse")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                file_spec = importlib.util.spec_from_file_location(
+                    "scipy.sparse._sparsetools", path)
+                module = importlib.util.module_from_spec(file_spec)
+                file_spec.loader.exec_module(module)
+                break
+    if module is None:
+        from scipy.sparse import _sparsetools as module
+    missing = [name for name in KERNELS if not hasattr(module, name)]
+    if missing:
+        raise ImportError(f"scipy.sparse._sparsetools lacks the kernels {missing}")
+    return module
+
+
+sparsetools = _load_sparsetools()
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def index_dtype(*sizes: int) -> type:
+    """scipy's index dtype for CSR arrays of these dimensions and entry
+    counts: int32 when every one fits, int64 otherwise."""
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
 
 
 def as_vector(values) -> np.ndarray:
@@ -149,25 +209,25 @@ def stacked_maxpy(heads, coeffs, vs: np.ndarray, out=None) -> np.ndarray:
 
 
 def _index_array(values) -> np.ndarray:
-    """An integer array as given (so the CSR keeps scipy's int32 arrays
-    without a copy); anything else, such as a list, as int64."""
+    """An integer array as given; anything else, such as a list, as int64."""
     a = np.asarray(values)
     return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
-def _diagonal_form(csr: sp.csr_matrix):
-    """The DIA form of a CSR matrix with sorted columns, offsets ascending,
-    or None when it has no entries or would store more than
-    ``DIAGONAL_FILL_MAX`` times its nonzeros."""
-    n_rows, n_cols = csr.shape
-    if csr.nnz == 0:
+def _diagonal_form(op: "SparseOperator"):
+    """The DIA form ``(offsets, values)`` of an operator, offsets ascending
+    and ``values`` of shape ``(len(offsets), n_cols)``, or None when it has
+    no entries or would store more than ``DIAGONAL_FILL_MAX`` times its
+    nonzeros."""
+    n_rows, n_cols = op.shape
+    if op.nnz == 0:
         return None
     # diagonal of each entry, column - row, counted from the lowest one
-    diag = csr.indices - np.repeat(np.arange(n_rows, dtype=np.intp), np.diff(csr.indptr))
+    diag = op.indices - np.repeat(np.arange(n_rows, dtype=np.intp), np.diff(op.indptr))
     diag += n_rows - 1
     present = np.bincount(diag) > 0
     count = int(np.count_nonzero(present))
-    if count * n_cols > DIAGONAL_FILL_MAX * csr.nnz:
+    if count * n_cols > DIAGONAL_FILL_MAX * op.nnz:
         return None
     # each entry's place in the flat array: its diagonal's row, at its
     # column, where the DIA kernel reads it.  Few temporaries, freed early,
@@ -178,15 +238,17 @@ def _diagonal_form(csr: sp.csr_matrix):
     flat = (np.cumsum(present) - 1)[diag]
     del diag
     flat *= n_cols
-    flat += csr.indices
+    flat += op.indices
     values = np.frombuffer(mmap.mmap(-1, 8 * count * n_cols), dtype=np.float64)
-    values[flat] = csr.data
-    values = values.reshape(count, n_cols)
-    return sp.dia_matrix((values, np.flatnonzero(present) - (n_rows - 1)), shape=csr.shape)
+    values[flat] = op.data
+    offsets = np.flatnonzero(present) - (n_rows - 1)
+    return offsets.astype(index_dtype(n_rows, n_cols)), values.reshape(count, n_cols)
 
 
 def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
     """D^-1/2 A D^-1/2 for the diagonal D of A, which must be positive."""
+    import scipy.sparse as sp
+
     d = A.diagonal()
     if not np.all(d > 0.0):
         raise ValueError("prescale requires a strictly positive diagonal")
@@ -207,12 +269,12 @@ class SparseOperator:
     Column indices must be strictly increasing within each row (this also
     forbids duplicate entries).  ``symmetric=True`` is a structural claim
     checked cheaply at build time and exactly testable via ``symmetry_error``.
-    ``indptr``, ``indices`` and ``data`` are the arrays of the backing CSR
-    matrix, not copies.
+    ``indptr`` and ``indices`` take scipy's index dtype (``index_dtype``),
+    so that they are the arrays scipy would hold; ``data`` is float64.
 
     ``apply`` multiplies through the diagonal form when that stores at
     most ``DIAGONAL_FILL_MAX`` times the nonzeros, and through the CSR
-    matrix otherwise.  On a finite vector both give the same bits (see the
+    arrays otherwise.  On a finite vector both give the same bits (see the
     module docstring); on one holding inf or NaN the diagonal form can
     return NaN in more rows.  The diagonal form is built on the first
     ``apply`` and kept, and so is the Jacobi-scaled operator ``scaled``.
@@ -225,6 +287,8 @@ class SparseOperator:
         indptr = _index_array(indptr)
         indices = _index_array(indices)
         data = np.asarray(data, dtype=np.float64)
+        if indices.ndim != 1 or data.ndim != 1:
+            raise ValueError("indices and data must be 1-D")
         if indptr.shape != (n_rows + 1,) or indptr[0] != 0 or indptr[-1] != len(indices):
             raise ValueError("malformed indptr")
         if np.any(np.diff(indptr) < 0):
@@ -245,12 +309,15 @@ class SparseOperator:
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.symmetric = bool(symmetric)
-        self._csr = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-        self.indptr = self._csr.indptr
-        self.indices = self._csr.indices
-        self.data = self._csr.data
-        self._product = None                  # built on the first apply
-        self._scaled = None                   # built on first use
+        # checked above, so the cast to scipy's index dtype is exact
+        index = index_dtype(n_rows, n_cols, len(data))
+        self.indptr = np.ascontiguousarray(indptr, dtype=index)
+        self.indices = np.ascontiguousarray(indices, dtype=index)
+        self.data = np.ascontiguousarray(data)
+        self._matvec = None                   # the product kernel, bound on the first apply
+        self._diagonals = None                # the diagonal form, built with it
+        self._csr = None                      # the scipy view, built on first use
+        self._scaled = None
         if symmetric:
             if n_rows != n_cols:
                 raise ValueError("symmetric flag requires a square operator")
@@ -259,36 +326,60 @@ class SparseOperator:
 
     @classmethod
     def from_scipy(cls, mat, symmetric: bool = False) -> "SparseOperator":
-        """Wrap any scipy sparse matrix (converted to canonical CSR)."""
-        csr = sp.csr_matrix(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
+        """Wrap any scipy sparse matrix or array, converted by its own
+        ``tocsr`` and, unless canonical already, a copy of that with its
+        duplicates summed and its columns sorted."""
+        csr = mat.tocsr()
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
         return cls(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data,
                    symmetric=symmetric)
 
     @classmethod
     def from_dense(cls, mat, symmetric: bool = False) -> "SparseOperator":
-        """Build from a dense array, dropping exact zeros."""
-        return cls.from_scipy(sp.csr_matrix(np.asarray(mat, dtype=np.float64)),
-                              symmetric=symmetric)
+        """Build from a dense 2-D array, dropping exact zeros (of either sign)."""
+        dense = np.asarray(mat, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got shape {dense.shape}")
+        rows, cols = np.nonzero(dense)
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(dense, axis=1))))
+        return cls(dense.shape[0], dense.shape[1], indptr, cols, dense[rows, cols],
+                   symmetric=symmetric)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_cols
 
     @property
     def nnz(self) -> int:
         return len(self.data)
 
     @property
-    def csr(self) -> sp.csr_matrix:
-        """Read-only view of the backing CSR matrix."""
+    def csr(self):
+        """A scipy ``csr_matrix`` holding the operator's own arrays, built
+        on first use (it imports scipy.sparse); not to be modified."""
+        if self._csr is None:
+            import scipy.sparse as sp
+
+            csr = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+            # the constructor keeps views of the arrays; share the arrays
+            csr.indptr, csr.indices, csr.data = self.indptr, self.indices, self.data
+            csr.has_canonical_format = True
+            self._csr = csr
         return self._csr
 
     @property
-    def product(self) -> sp.spmatrix:
-        """The matrix ``apply`` multiplies by: the diagonal form (format
-        ``"dia"``) or the CSR matrix, chosen and built on first use."""
-        if self._product is None:
-            dia = _diagonal_form(self._csr)
-            self._product = self._csr if dia is None else dia
-        return self._product
+    def product(self):
+        """The matrix ``apply`` multiplies by, as a scipy view for
+        inspection: the diagonal form (format ``"dia"``) or ``csr``."""
+        self._bound_matvec()
+        if self._diagonals is None:
+            return self.csr
+        import scipy.sparse as sp
+
+        offsets, values = self._diagonals
+        return sp.dia_matrix((values, offsets), shape=self.shape)
 
     @property
     def scaled(self) -> "SparseOperator":
@@ -299,24 +390,59 @@ class SparseOperator:
             self._scaled = _jacobi_scaled(self)
         return self._scaled
 
+    def _bound_matvec(self):
+        """The product kernel with the operator's arguments bound; it
+        chooses and builds the diagonal form on its first call."""
+        if self._matvec is None:
+            self._diagonals = _diagonal_form(self)
+            if self._diagonals is None:
+                self._matvec = partial(sparsetools.csr_matvec, self.n_rows, self.n_cols,
+                                       self.indptr, self.indices, self.data)
+            else:
+                offsets, values = self._diagonals
+                self._matvec = partial(sparsetools.dia_matvec, self.n_rows, self.n_cols,
+                                       len(offsets), values.shape[1], offsets, values)
+        return self._matvec
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product y_i = sum_j A_ij x_j, each row summed in
         ascending column order."""
-        if x.shape[0] != self.n_cols:
-            raise ValueError(f"operator has {self.n_cols} columns, vector has length {x.shape[0]}")
-        return self.product.dot(x)
+        if x.ndim != 1 or x.shape[0] != self.n_cols:
+            raise ValueError(f"operator has {self.n_cols} columns, vector has shape {x.shape}")
+        y = np.zeros(self.n_rows)
+        (self._matvec or self._bound_matvec())(x, y)
+        return y
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal as a dense vector (absent entries are zero)."""
-        return self._csr.diagonal()
+        d = np.empty(min(self.shape))
+        sparsetools.csr_diagonal(0, self.n_rows, self.n_cols, self.indptr, self.indices,
+                                 self.data, d)
+        return d
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        dense = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        # added to zeros, as scipy's kernel does, so a stored -0.0 reads +0.0
+        dense[rows, self.indices] += self.data
+        return dense
 
     def symmetry_error(self) -> float:
         """Largest absolute entry of A - A^T (0.0 for an exactly symmetric A)."""
-        d = self._csr - self._csr.T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+        if self.n_rows != self.n_cols:
+            raise ValueError(f"symmetry needs a square operator, not {self.n_rows}x{self.n_cols}")
+        n, nnz = self.n_rows, self.nnz
+        index = index_dtype(n, 2 * nnz)
+        indptr, indices = (a.astype(index, copy=False) for a in (self.indptr, self.indices))
+        # A^T in CSR is A in compressed-column form
+        t_indptr, t_indices, t_data = np.empty(n + 1, index), np.empty(nnz, index), np.empty(nnz)
+        sparsetools.csr_tocsc(n, n, indptr, indices, self.data, t_indptr, t_indices, t_data)
+        d_indptr, d_indices, d_data = (np.empty(n + 1, index), np.empty(2 * nnz, index),
+                                       np.empty(2 * nnz))
+        sparsetools.csr_minus_csr(n, n, indptr, indices, self.data, t_indptr, t_indices,
+                                  t_data, d_indptr, d_indices, d_data)
+        stored = d_data[:d_indptr[-1]]      # the kernel stores nonzero differences only
+        return float(np.max(np.abs(stored))) if len(stored) else 0.0
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.sum(self.data * self.data)))

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .names import canonical_name
+
 __all__ = [
     "MODEL_METHODS",
     "DEFAULT_NODE_GRID",
@@ -214,10 +216,6 @@ def t_pc(spec: MachineSpec, params: CostModelParams) -> float:
     return max(t_pc_compute(spec, params), t_pc_comm(spec, params))
 
 
-def _canon(method: str) -> str:
-    return method.strip().lower().replace("-", "_")
-
-
 def iteration_cost(method: str, spec: MachineSpec,
                    params: CostModelParams) -> IterationCost:
     """Per-iteration cost split into unhidden work and exposed reductions.
@@ -226,7 +224,7 @@ def iteration_cost(method: str, spec: MachineSpec,
     reduction communication, clamped at zero; standard rows expose every
     reduction phase in full.
     """
-    name = _canon(method)
+    name = canonical_name(method)
     n = local_unknowns(spec, params)
     nu = params.nu_avg
     tc = spec.flop_time

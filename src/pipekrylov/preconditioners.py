@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SparseOperator, dot, norm2
+from .names import canonical_name
 from .rng import SplitMix64
 
 __all__ = [
@@ -213,7 +214,7 @@ def make_preconditioner(kind: str, A: SparseOperator, *, eta: float = 1e-4,
                         seed: int = 0, n_blocks: int = 4,
                         inner_iters: int = 5) -> Preconditioner:
     """Factory used by the command-line front end."""
-    kind = kind.replace("-", "_").lower()
+    kind = canonical_name(kind)
     if kind == "identity":
         return IdentityPreconditioner()
     if kind == "jacobi":

@@ -3,7 +3,9 @@
 Every generator is a pure function of its arguments (plus an explicit
 seed where randomness is involved), so identical calls yield bitwise
 identical instances.  Each operator is assembled once, from its
-diagonals or its entries, with no intermediate sparse products.
+diagonals or its entries, with no intermediate sparse products, by the
+scipy kernels that ``scipy.sparse`` runs for the same conversions
+(``linalg.sparsetools``), so scipy.sparse itself is never imported.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import SparseOperator
+from .linalg import SparseOperator, index_dtype, sparsetools
 from .rng import SplitMix64
 
 __all__ = [
@@ -35,11 +36,16 @@ class ProblemInstance:
     label: str
 
 
+def _diagonal_operator(values: np.ndarray) -> SparseOperator:
+    n = len(values)
+    return SparseOperator(n, n, np.arange(n + 1), np.arange(n), values, symmetric=True)
+
+
 def make_identity(n: int) -> ProblemInstance:
     """Identity system; every method converges in a single iteration."""
     if n < 1:
         raise ValueError("identity problem needs n >= 1")
-    A = SparseOperator.from_scipy(sp.identity(n, format="csr"), symmetric=True)
+    A = _diagonal_operator(np.ones(n))
     b = np.full(n, 1.0 / np.sqrt(n))
     return ProblemInstance(A, b, b.copy(), f"identity(n={n})")
 
@@ -55,7 +61,7 @@ def make_toy_diagonal(n: int, cond: float) -> ProblemInstance:
     if not (math.isfinite(cond) and cond > 1.0):
         raise ValueError("condition number cond must be finite and exceed 1")
     lam = 1.0 + (cond - 1.0) * np.arange(n, dtype=np.float64) / (n - 1)
-    A = SparseOperator.from_scipy(sp.diags(lam, format="csr"), symmetric=True)
+    A = _diagonal_operator(lam)
     b = np.full(n, 1.0 / np.sqrt(n))
     x_true = b / lam
     return ProblemInstance(A, b, x_true, f"toy-diag(n={n},cond={cond:g})")
@@ -69,7 +75,8 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
 
     The operator is built from its 2·dims + 1 diagonals in one step: the
     main diagonal 2·dims and, per axis, -1 at offsets ±n**axis, zeroed
-    where the neighbour lies across a grid line and then dropped.  It
+    where the neighbour lies across a grid line and dropped by scipy's
+    DIA-to-CSR kernel, which ``sp.diags(...).tocsr()`` runs.  It
     stores the same arrays as the sum of Kronecker products
     T⊗I + I⊗T (and the 3-D analogue) of the 1-D Laplacian T, without
     building them, except at n = 2, where scipy's product keeps explicit
@@ -81,19 +88,28 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
         raise ValueError("need at least 2 points per side")
     n = n_per_side
     N = n ** dims
-    offsets, diagonals = [0], [np.full(N, 2.0 * dims)]
-    for axis in range(dims):
-        stride = n ** axis
+    strides = [n ** axis for axis in range(dims)]
+    offsets = np.array([-s for s in reversed(strides)] + [0] + strides)
+    # the DIA layout: values[k, j] is the entry (j - offsets[k], j)
+    values = np.zeros((len(offsets), N))
+    values[dims] = 2.0 * dims
+    for axis, stride in enumerate(strides):
         coupling = np.full(N - stride, -1.0)
         # point p couples to p + stride unless it ends its grid line
         coupling[np.arange(N - stride) // stride % n == n - 1] = 0.0
-        offsets += [-stride, stride]
-        diagonals += [coupling, coupling]
-    A = sp.diags(diagonals, offsets, shape=(N, N), format="csr")
-    A.eliminate_zeros()
-    op = SparseOperator.from_scipy(A, symmetric=True)
-    x_true = SplitMix64(seed).uniform01(n ** dims)
-    b = op.csr @ x_true
+        values[dims - 1 - axis, :N - stride] = coupling
+        values[dims + 1 + axis, stride:] = coupling
+    stored = N + 2 * sum(N - stride for stride in strides)
+    index = index_dtype(N, stored)
+    indptr, indices, data = np.empty(N + 1, index), np.empty(stored, index), np.empty(stored)
+    nnz = sparsetools.dia_tocsr(N, N, len(offsets), N, offsets.astype(index), values,
+                                np.arange(len(offsets), dtype=index), data, indices, indptr)
+    op = SparseOperator(N, N, indptr, indices[:nnz], data[:nnz], symmetric=True)
+    x_true = SplitMix64(seed).uniform01(N)
+    # b = A x_true through the CSR kernel, as scipy's ``csr @ x`` runs it,
+    # leaving the product that ``apply`` builds on first use unbuilt
+    b = np.zeros(N)
+    sparsetools.csr_matvec(N, N, op.indptr, op.indices, op.data, x_true, b)
     return ProblemInstance(op, b, x_true,
                            f"poisson{dims}d(n={n},seed={seed})")
 
@@ -140,9 +156,16 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
     rows.append(cell.ravel())
     cols.append(cell.ravel())
     vals.append(diag.ravel())
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-    op = SparseOperator.from_scipy(A, symmetric=True)
+    vals = np.concatenate(vals)
+    nnz = len(vals)
+    index = index_dtype(N, nnz)
+    rows, cols = (np.concatenate(a).astype(index) for a in (rows, cols))
+    # scipy's COO-to-CSR conversion: entries in row order, then each row's
+    # columns sorted (no two entries share a place, so none are summed)
+    indptr, indices, data = np.empty(N + 1, index), np.empty(nnz, index), np.empty(nnz)
+    sparsetools.coo_tocsr(N, N, nnz, rows, cols, vals, indptr, indices, data)
+    sparsetools.csr_sort_indices(N, indptr, indices, data)
+    op = SparseOperator(N, N, indptr, indices, data, symmetric=True)
     b = inside.astype(np.float64).ravel()
     return ProblemInstance(op, b, None,
                            f"sinker(n={n},contrast={contrast:g})")

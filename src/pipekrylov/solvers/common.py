@@ -13,6 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..linalg import SparseOperator, blocks, dot, mdot, norm2, stacked_maxpy
+from ..names import canonical_name
 from ..preconditioners import Preconditioner
 from ..rng import SplitMix64
 
@@ -91,8 +92,7 @@ class SolverConfig:
     prescale: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "method",
-                           self.method.strip().lower().replace("-", "_"))
+        object.__setattr__(self, "method", canonical_name(self.method))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (0.0 < self.rtol < 1.0):

@@ -44,6 +44,13 @@ def random_spd(n: int, seed: int) -> tuple[SparseOperator, np.ndarray]:
     return A, b
 
 
+def same_csr(op: SparseOperator, ref) -> bool:
+    """The operator holds scipy's CSR arrays byte for byte, dtypes included."""
+    return all(getattr(op, name).dtype == getattr(ref, name).dtype
+               and getattr(op, name).tobytes() == getattr(ref, name).tobytes()
+               for name in ("indptr", "indices", "data"))
+
+
 def collector(events: list):
     """Observer callback that appends (event, iteration, payload) tuples."""
     return lambda event, i, payload: events.append((event, i, payload))

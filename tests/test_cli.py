@@ -309,6 +309,26 @@ def test_no_command_loads_scipy_linalg_or_a_second_blas():
     assert proc.stdout.count("converged=1") == 5
 
 
+def test_commands_never_import_scipy_sparse(tmp_path):
+    # the operators run scipy's compiled kernels, loaded from their
+    # extension file; scipy.sparse's package imports numpy.f2py and
+    # numpy.testing.  The test session imports scipy.sparse, so only a
+    # fresh process loads the kernels on their own.
+    script = "\n".join([
+        "import sys",
+        "from pipekrylov.cli import main",
+        "for problem in (['--problem', 'poisson2d', '--n', '8'], ['--problem', 'sinker', '--n', '8']):",
+        "    assert main(['solve', '--solver', 'pcg', '--pc', 'jacobi'] + problem) == 0",
+        "    assert main(['compare', '--methods', 'fgmres,pipefcg,gcr', '--pc', 'jacobi',",
+        f"                 '--out', {str(tmp_path / 'c.csv')!r}] + problem) == 0",
+        "loaded = [m for m in ('scipy.sparse', 'numpy.f2py', 'numpy.testing') if m in sys.modules]",
+        "assert loaded == [], loaded",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("converged=1") == 8
+
+
 @pytest.mark.parametrize("pc", ["jacobi", "nested-krylov"])
 def test_compare_builds_one_scaled_operator(pc, tmp_path, capsys, monkeypatch):
     scaled, converted = [], []

@@ -7,6 +7,8 @@ recomputations of the same quantity.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,8 @@ from pipekrylov.linalg import (
 )
 from pipekrylov.problems import make_identity, make_poisson, make_sinker, make_toy_diagonal
 from pipekrylov.rng import SplitMix64
+
+from conftest import same_csr
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -379,3 +383,92 @@ def test_operator_arrays_are_the_csr_arrays():
     assert op.indptr is op.csr.indptr
     assert op.indices is op.csr.indices
     assert op.data is op.csr.data
+
+
+@st.composite
+def _coo_entries(draw):
+    """A random COO matrix of any rectangular shape, its entries at
+    scattered places with duplicates among them, and a vector."""
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 12))
+    count = draw(st.integers(0, 3 * n_rows * n_cols // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.integers(0, n_rows, count)
+    cols = rng.integers(0, n_cols, count)
+    coo = sp.coo_matrix((_values(rng, count), (rows, cols)), shape=(n_rows, n_cols))
+    return coo, _values(rng, n_cols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coo_entries())
+def test_operator_results_equal_scipy_sparse_bytewise(case):
+    # the kernels are called without scipy.sparse; every result must be
+    # the one scipy.sparse's public methods give, so that a scipy release
+    # that moves or changes a kernel fails here
+    coo, x = case
+    ref = coo.tocsr()
+    op = SparseOperator.from_scipy(coo)
+    assert same_csr(op, ref)
+    assert op.apply(x).tobytes() == ref.dot(x).tobytes()
+    assert op.diagonal().tobytes() == ref.diagonal().tobytes()
+    dense = ref.toarray()
+    assert op.to_dense().tobytes() == dense.tobytes()
+    if op.n_rows == op.n_cols:
+        d = ref - ref.T
+        assert op.symmetry_error() == (float(np.max(np.abs(d.data))) if d.nnz else 0.0)
+    else:
+        with pytest.raises(ValueError, match="square"):
+            op.symmetry_error()
+    # negative zeros are zeros to both
+    dense[::2] *= -1.0
+    if dense.any():
+        assert same_csr(SparseOperator.from_dense(dense), sp.csr_matrix(dense))
+
+
+def test_from_scipy_leaves_its_argument_unsorted():
+    csr = sp.csr_matrix((np.array([1.0, 2.0]), np.array([1, 0]), np.array([0, 2])),
+                        shape=(1, 2))
+    A = SparseOperator.from_scipy(csr)
+    assert A.indices.tolist() == [0, 1] and A.data.tolist() == [2.0, 1.0]
+    assert csr.indices.tolist() == [1, 0]
+
+
+def test_index_dtype_is_scipys():
+    assert linalg.index_dtype(3, 7) is np.int32
+    assert linalg.index_dtype(3, 2 ** 31 - 1) is np.int32
+    assert linalg.index_dtype(3, 2 ** 31) is np.int64
+    # int64 input that fits is held as int32, as scipy holds it
+    A = SparseOperator(2, 2, np.array([0, 1, 2]), np.array([0, 1]), [1.0, 2.0])
+    assert A.indptr.dtype == A.indices.dtype == np.int32
+
+
+def test_kernels_come_from_the_loaded_scipy_sparse():
+    # the test session imports scipy.sparse, whose kernel module is taken
+    from scipy.sparse import _sparsetools
+
+    assert linalg._load_sparsetools() is _sparsetools
+
+
+def test_kernels_load_from_their_file_without_scipy_sparse():
+    script = "\n".join([
+        "import sys",
+        "from pipekrylov import linalg",
+        "assert linalg.sparsetools.__name__ == 'scipy.sparse._sparsetools'",
+        "assert linalg.sparsetools.__file__.split('/')[-1].startswith('_sparsetools')",
+        "assert 'scipy.sparse' not in sys.modules and 'scipy' not in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_kernels_fall_back_to_importing_scipy_sparse():
+    # with no extension file to be found, scipy.sparse is imported after all
+    script = "\n".join([
+        "import importlib.util, sys",
+        "importlib.util.find_spec = lambda name: None",
+        "from pipekrylov import linalg",
+        "from scipy.sparse import _sparsetools",
+        "assert linalg.sparsetools is _sparsetools",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

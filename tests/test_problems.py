@@ -20,6 +20,8 @@ from pipekrylov.problems import (
 )
 from pipekrylov.rng import SplitMix64
 
+from conftest import same_csr
+
 
 def _laplacian_eigs_1d(n: int) -> np.ndarray:
     k = np.arange(1, n + 1)
@@ -181,15 +183,50 @@ def _sinker_by_loop(n: int, contrast: float):
     return A, inside.astype(np.float64).ravel()
 
 
-@pytest.mark.parametrize("n", [4, 9, 16])
+def _same_arrays(built, ref) -> bool:
+    return built.dtype == ref.dtype and built.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 9, 16, 32])
 @pytest.mark.parametrize("contrast", [1.0, 1e3])
 def test_sinker_is_bitwise_the_cell_loop_assembly(n, contrast):
+    # the loop assembles scipy's COO matrix, converted by scipy.sparse
     want, b = _sinker_by_loop(n, contrast)
     prob = make_sinker(n, contrast)
-    assert np.array_equal(prob.A.indptr, want.indptr)
-    assert np.array_equal(prob.A.indices, want.indices)
-    assert prob.A.data.tobytes() == want.data.tobytes()
-    assert prob.b.tobytes() == b.tobytes()
+    assert same_csr(prob.A, want)
+    assert _same_arrays(prob.b, b)
+
+
+def _poisson_by_scipy_diags(dims: int, n: int, seed: int):
+    """The operator through scipy.sparse's own DIA-to-CSR conversion."""
+    N = n ** dims
+    offsets, diagonals = [0], [np.full(N, 2.0 * dims)]
+    for axis in range(dims):
+        stride = n ** axis
+        coupling = np.full(N - stride, -1.0)
+        coupling[np.arange(N - stride) // stride % n == n - 1] = 0.0
+        offsets += [-stride, stride]
+        diagonals += [coupling, coupling]
+    A = sp.diags(diagonals, offsets, shape=(N, N), format="csr")
+    A.eliminate_zeros()
+    x_true = SplitMix64(seed).uniform01(N)
+    return A, x_true, A @ x_true
+
+
+@pytest.mark.parametrize("dims,n", [(2, 2), (2, 3), (2, 8), (2, 128), (3, 2), (3, 5), (3, 40)])
+def test_poisson_is_scipys_diagonal_build_bytewise(dims, n):
+    prob = make_poisson(dims, n, seed=3)
+    A, x_true, b = _poisson_by_scipy_diags(dims, n, seed=3)
+    assert same_csr(prob.A, A)
+    assert _same_arrays(prob.x_true, x_true)
+    assert _same_arrays(prob.b, b)
+
+
+def test_diagonal_models_are_scipys_builds_bytewise():
+    assert same_csr(make_identity(7).A, sp.identity(7, format="csr"))
+    lam = 1.0 + 9.0 * np.arange(50, dtype=np.float64) / 49
+    assert same_csr(make_toy_diagonal(50, 10.0).A, sp.diags(lam, format="csr"))
+
 
 
 def test_sinker_validation():
