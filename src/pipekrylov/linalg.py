@@ -13,28 +13,34 @@ over a 3-D ``(rows, columns, n)`` block as one ``(rows, columns·n)``
 matrix, strided views included, without a copy.  ``blocks`` allocates
 a solve's one block, so that earlier frees do not move its peak memory.
 
-``SparseOperator`` holds its compressed-row (CSR) arrays as plain numpy
-arrays and runs scipy's compiled sparse kernels on them directly: the
-extension module ``scipy/sparse/_sparsetools`` is loaded from its file,
-so that importing the package or solving never runs
-``scipy/sparse/__init__.py`` (whose array-API layer imports numpy.f2py,
-numpy.testing and more, doubling the resident memory of a process).
-The kernels called are ``csr_matvec``, ``dia_matvec``, ``csr_diagonal``,
-``csr_tocsc`` and ``csr_minus_csr`` here, and ``dia_tocsr``, ``coo_tocsr``
-and ``csr_sort_indices`` in the problem builders: the ones scipy.sparse
-itself runs for the same operations, so every result keeps its bits.
-Only the scipy views ``SparseOperator.csr`` and ``.product``, the Jacobi
-scaling ``SparseOperator.scaled`` and block Jacobi's slicing import
-scipy.sparse, on first use.
+``SparseOperator`` holds plain numpy arrays and runs scipy's compiled
+sparse kernels on them directly: the extension module
+``scipy/sparse/_sparsetools`` is loaded from its file, so that importing
+the package or solving never runs ``scipy/sparse/__init__.py`` (whose
+array-API layer imports numpy.f2py, numpy.testing and more, doubling the
+resident memory of a process).  The kernels called are ``csr_matvec``,
+``dia_matvec``, ``csr_diagonal``, ``csr_tocsc``, ``csr_minus_csr``,
+``dia_tocsr`` and ``get_csr_submatrix``, all of them here: the ones
+scipy.sparse itself runs for the same operations, so every result keeps
+its bits.  Only the scipy views ``SparseOperator.csr`` and ``.product``
+and the Jacobi scaling ``SparseOperator.scaled`` import scipy.sparse, on
+first use.
 
-``SparseOperator.apply`` runs one of two products.  A banded operator,
-one whose diagonal (DIA) form stores at most ``DIAGONAL_FILL_MAX`` times
-its nonzeros, is applied by the DIA kernel, which streams no column
-indices; any other operator by the CSR kernel.  The two agree bit for bit
-on finite input: both sum each row in ascending column order from +0, and
-a padding zero of the DIA form adds ±0 to a partial sum that is never −0.
-On a non-finite input 0·inf can put a NaN in a row that the CSR product
-leaves finite.
+An operator is given either by its compressed-row (CSR) arrays or, square,
+by its diagonals (``SparseOperator.from_diagonals``), the form in which
+the problem builders compute their stencils.  One given by its diagonals
+keeps them and derives its CSR arrays (``dia_tocsr``) only when something
+first reads them, so that building it forms no CSR arrays, transpose or
+difference that a solve does not read.
+
+``SparseOperator.apply`` runs one of two products.  An operator given by
+its diagonals, or a banded one given by CSR arrays, whose diagonal (DIA)
+form stores at most ``DIAGONAL_FILL_MAX`` times its nonzeros, is applied
+by the DIA kernel, which streams no column indices; any other operator by
+the CSR kernel.  The two agree bit for bit on finite input: both sum each
+row in ascending column order from +0, and a zero of the DIA form adds ±0
+to a partial sum that is never −0.  On a non-finite input 0·inf can put a
+NaN in a row that the CSR product leaves finite.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ DIAGONAL_FILL_MAX = 2
 
 # the kernels of scipy.sparse._sparsetools that the package calls
 KERNELS = ("csr_matvec", "dia_matvec", "csr_diagonal", "csr_tocsc", "csr_minus_csr",
-           "dia_tocsr", "coo_tocsr", "csr_sort_indices")
+           "dia_tocsr", "get_csr_submatrix")
 
 
 def _load_sparsetools():
@@ -214,6 +220,23 @@ def _index_array(values) -> np.ndarray:
     return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
+# a private anonymous mapping, its pages mapped at once where the system
+# can (Linux): filling 3.6 MB took 0.9 ms on a 2-core Xeon, against 1.9 ms
+# in a default (shared) mapping whose pages fault in one by one
+_MAPPING = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+            if hasattr(mmap, "MAP_POPULATE") else {})
+
+
+def _mapped(rows: int, columns: int) -> np.ndarray:
+    """A zero-filled ``(rows, columns)`` float64 array in an anonymous
+    mapping of its own, for an operator's diagonal form.  Taken from the C
+    heap, the form raised the peak memory of later poisson2d n=128 solves
+    by 0.1 or 0.7 MB between identical runs."""
+    size = rows * columns
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1), **_MAPPING), dtype=np.float64,
+                         count=size).reshape(rows, columns)
+
+
 def _diagonal_form(op: "SparseOperator"):
     """The DIA form ``(offsets, values)`` of an operator, offsets ascending
     and ``values`` of shape ``(len(offsets), n_cols)``, or None when it has
@@ -231,18 +254,16 @@ def _diagonal_form(op: "SparseOperator"):
         return None
     # each entry's place in the flat array: its diagonal's row, at its
     # column, where the DIA kernel reads it.  Few temporaries, freed early,
-    # and an anonymous mapping of its own for the array, zero-filled by the
-    # kernel, keep the peak memory of later solves steady: taken from the C
-    # heap, the form raised the peak of poisson2d n=128 solves by 0.1 or
-    # 0.7 MB between identical runs, and with more temporaries by 1.4 MB.
+    # keep the peak memory of later solves steady: with more temporaries
+    # it moved by 1.4 MB between identical runs.
     flat = (np.cumsum(present) - 1)[diag]
     del diag
     flat *= n_cols
     flat += op.indices
-    values = np.frombuffer(mmap.mmap(-1, 8 * count * n_cols), dtype=np.float64)
-    values[flat] = op.data
+    values = _mapped(count, n_cols)
+    values.reshape(-1)[flat] = op.data
     offsets = np.flatnonzero(present) - (n_rows - 1)
-    return offsets.astype(index_dtype(n_rows, n_cols)), values.reshape(count, n_cols)
+    return offsets.astype(index_dtype(n_rows, n_cols)), values
 
 
 def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
@@ -264,7 +285,8 @@ def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
 
 
 class SparseOperator:
-    """Compressed-row sparse operator with an explicit symmetry flag.
+    """Sparse operator with an explicit symmetry flag, given by its
+    compressed-row (CSR) arrays or, square, by its diagonals.
 
     Column indices must be strictly increasing within each row (this also
     forbids duplicate entries).  ``symmetric=True`` is a structural claim
@@ -272,12 +294,15 @@ class SparseOperator:
     ``indptr`` and ``indices`` take scipy's index dtype (``index_dtype``),
     so that they are the arrays scipy would hold; ``data`` is float64.
 
-    ``apply`` multiplies through the diagonal form when that stores at
-    most ``DIAGONAL_FILL_MAX`` times the nonzeros, and through the CSR
-    arrays otherwise.  On a finite vector both give the same bits (see the
-    module docstring); on one holding inf or NaN the diagonal form can
-    return NaN in more rows.  The diagonal form is built on the first
-    ``apply`` and kept, and so is the Jacobi-scaled operator ``scaled``.
+    An operator built from CSR arrays multiplies through its diagonal form
+    when that stores at most ``DIAGONAL_FILL_MAX`` times the nonzeros, and
+    through the CSR arrays otherwise; the diagonal form is built on the
+    first ``apply`` and kept.  One built by ``from_diagonals`` always
+    multiplies through its diagonals, and derives its CSR arrays from them
+    when something first reads them.  On a finite vector both products give
+    the same bits (see the module docstring); on one holding inf or NaN the
+    diagonal form can return NaN in more rows.  The Jacobi-scaled operator
+    ``scaled`` is built on first use and kept.
     """
 
     def __init__(self, n_rows: int, n_cols: int, indptr, indices, data,
@@ -306,23 +331,77 @@ class SparseOperator:
             raise ValueError(f"columns not strictly increasing in row {row}")
         if not np.all(np.isfinite(data)):
             raise ValueError("operator entries must be finite")
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.symmetric = bool(symmetric)
+        self._setup(n_rows, n_cols, symmetric, len(data))
         # checked above, so the cast to scipy's index dtype is exact
         index = index_dtype(n_rows, n_cols, len(data))
-        self.indptr = np.ascontiguousarray(indptr, dtype=index)
-        self.indices = np.ascontiguousarray(indices, dtype=index)
-        self.data = np.ascontiguousarray(data)
-        self._matvec = None                   # the product kernel, bound on the first apply
-        self._diagonals = None                # the diagonal form, built with it
-        self._csr = None                      # the scipy view, built on first use
-        self._scaled = None
+        self._arrays = (np.ascontiguousarray(indptr, dtype=index),
+                        np.ascontiguousarray(indices, dtype=index),
+                        np.ascontiguousarray(data))
         if symmetric:
             if n_rows != n_cols:
                 raise ValueError("symmetric flag requires a square operator")
             if self.symmetry_error() != 0.0:
                 raise ValueError("operator flagged symmetric is not symmetric")
+
+    def _setup(self, n_rows: int, n_cols: int, symmetric: bool, nnz: int) -> None:
+        self.n_rows = int(n_rows)
+        self.n_cols = int(n_cols)
+        self.symmetric = bool(symmetric)
+        self.nnz = int(nnz)
+        self._born_diagonal = False           # built by from_diagonals
+        self._arrays = None                   # (indptr, indices, data)
+        self._matvec = None                   # the product kernel, bound on the first apply
+        self._diagonals = None                # the diagonal form (offsets, values)
+        self._csr = None                      # the scipy view, built on first use
+        self._scaled = None
+
+    @classmethod
+    def from_diagonals(cls, offsets, values, symmetric: bool = False) -> "SparseOperator":
+        """Build an n x n operator from its diagonals, in scipy's DIA
+        layout: ``values[k, j]`` is the entry (j - offsets[k], j), for
+        ``values`` of shape ``(len(offsets), n)``.  Offsets must be
+        strictly ascending and inside (-n, n), and the places of a row of
+        ``values`` that its diagonal does not reach must hold zero.  The
+        values are copied; zeros are not stored entries.
+        ``symmetric=True`` is checked exactly, each diagonal against its
+        mirror, as ``symmetry_error`` would read them."""
+        offsets = _index_array(offsets)
+        given = np.asarray(values, dtype=np.float64)
+        if offsets.ndim != 1 or given.ndim != 2 or given.shape[0] != len(offsets):
+            raise ValueError(f"values must have shape (len(offsets), n), not {given.shape} "
+                             f"for {len(offsets)} offsets")
+        n = given.shape[1]
+        if n <= 0:
+            raise ValueError("operator dimensions must be positive")
+        if np.any(np.diff(offsets) <= 0):
+            raise ValueError("offsets must be strictly ascending")
+        if len(offsets) and (offsets[0] <= -n or offsets[-1] >= n):
+            raise ValueError("diagonal offset out of range")
+        values = _mapped(len(offsets), n)
+        values[...] = given
+        if not np.all(np.isfinite(values)):
+            raise ValueError("operator entries must be finite")
+        diagonals = offsets.tolist()
+        for k, d in enumerate(diagonals):
+            if (values[k, n + d:] if d < 0 else values[k, :d]).any():
+                raise ValueError(f"diagonal {d} holds a nonzero outside the operator")
+        if symmetric:
+            row = {d: k for k, d in enumerate(diagonals)}
+            for k, d in enumerate(diagonals):
+                mirror = row.get(-d)
+                if mirror is None:
+                    same = not values[k].any()
+                elif d > 0:
+                    same = np.array_equal(values[k, d:], values[mirror, :n - d])
+                else:
+                    continue                  # the main diagonal, or checked from +|d|
+                if not same:
+                    raise ValueError("operator flagged symmetric is not symmetric")
+        op = cls.__new__(cls)
+        op._setup(n, n, symmetric, np.count_nonzero(values))
+        op._born_diagonal = True
+        op._diagonals = offsets.astype(index_dtype(n), copy=False), values
+        return op
 
     @classmethod
     def from_scipy(cls, mat, symmetric: bool = False) -> "SparseOperator":
@@ -351,9 +430,35 @@ class SparseOperator:
     def shape(self) -> tuple[int, int]:
         return self.n_rows, self.n_cols
 
+    def _csr_arrays(self):
+        """(indptr, indices, data); for an operator built from diagonals,
+        derived on first read by scipy's DIA-to-CSR kernel, which stores
+        the nnz nonzeros in ascending column order per row."""
+        if self._arrays is None:
+            offsets, values = self._diagonals
+            n, nnz = self.n_rows, self.nnz
+            index = index_dtype(n, nnz)
+            indptr, indices, data = np.empty(n + 1, index), np.empty(nnz, index), np.empty(nnz)
+            sparsetools.dia_tocsr(n, n, len(offsets), n, offsets.astype(index, copy=False),
+                                  values, np.arange(len(offsets), dtype=index),
+                                  data, indices, indptr)
+            self._arrays = indptr, indices, data
+        return self._arrays
+
     @property
-    def nnz(self) -> int:
-        return len(self.data)
+    def indptr(self) -> np.ndarray:
+        """CSR row pointers: row i holds the entries indptr[i]:indptr[i+1]."""
+        return self._csr_arrays()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """CSR column index of each stored entry."""
+        return self._csr_arrays()[1]
+
+    @property
+    def data(self) -> np.ndarray:
+        """CSR value of each stored entry."""
+        return self._csr_arrays()[2]
 
     @property
     def csr(self):
@@ -362,9 +467,10 @@ class SparseOperator:
         if self._csr is None:
             import scipy.sparse as sp
 
-            csr = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+            indptr, indices, data = self._csr_arrays()
+            csr = sp.csr_matrix((data, indices, indptr), shape=self.shape)
             # the constructor keeps views of the arrays; share the arrays
-            csr.indptr, csr.indices, csr.data = self.indptr, self.indices, self.data
+            csr.indptr, csr.indices, csr.data = indptr, indices, data
             csr.has_canonical_format = True
             self._csr = csr
         return self._csr
@@ -390,11 +496,23 @@ class SparseOperator:
             self._scaled = _jacobi_scaled(self)
         return self._scaled
 
+    def principal_submatrix(self, lo: int, hi: int) -> "SparseOperator":
+        """The block A[lo:hi, lo:hi] as an operator given by its CSR arrays,
+        cut by the kernel that scipy.sparse slices with."""
+        if not 0 <= lo < hi <= min(self.shape):
+            raise ValueError(f"block [{lo}, {hi}) is not inside a {self.n_rows}x{self.n_cols} "
+                             f"operator")
+        indptr, indices, data = sparsetools.get_csr_submatrix(
+            self.n_rows, self.n_cols, self.indptr, self.indices, self.data, lo, hi, lo, hi)
+        return SparseOperator(hi - lo, hi - lo, indptr, indices, data)
+
     def _bound_matvec(self):
-        """The product kernel with the operator's arguments bound; it
-        chooses and builds the diagonal form on its first call."""
+        """The product kernel with the operator's arguments bound; for an
+        operator given as CSR arrays it chooses and builds the diagonal
+        form on its first call."""
         if self._matvec is None:
-            self._diagonals = _diagonal_form(self)
+            if not self._born_diagonal:
+                self._diagonals = _diagonal_form(self)
             if self._diagonals is None:
                 self._matvec = partial(sparsetools.csr_matvec, self.n_rows, self.n_cols,
                                        self.indptr, self.indices, self.data)
@@ -415,6 +533,11 @@ class SparseOperator:
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal as a dense vector (absent entries are zero)."""
+        if self._born_diagonal:
+            offsets, values = self._diagonals
+            main = values[offsets == 0]
+            # adding +0.0 reads a -0.0 as the +0.0 of an absent CSR entry
+            return main[0] + 0.0 if len(main) else np.zeros(self.n_rows)
         d = np.empty(min(self.shape))
         sparsetools.csr_diagonal(0, self.n_rows, self.n_cols, self.indptr, self.indices,
                                  self.data, d)

@@ -123,15 +123,14 @@ class BlockJacobiPreconditioner(Preconditioner):
         size = A.n_rows // n_blocks
         bounds = [k * size for k in range(n_blocks)] + [A.n_rows]
         self._blocks = []
-        csr = A.csr
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sub = csr[lo:hi, lo:hi].tocsr()
-            self._blocks.append((lo, hi, sub, sub.diagonal()))
+            block = A.principal_submatrix(lo, hi)
+            self._blocks.append((lo, hi, block, block.diagonal()))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         u = np.zeros_like(r)
-        for lo, hi, sub, diag in self._blocks:
-            u[lo:hi] = _jacobi_cg(sub.dot, diag, r[lo:hi], self.inner_iters)
+        for lo, hi, block, diag in self._blocks:
+            u[lo:hi] = _jacobi_cg(block.apply, diag, r[lo:hi], self.inner_iters)
         return u
 
 

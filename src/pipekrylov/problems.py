@@ -2,10 +2,11 @@
 
 Every generator is a pure function of its arguments (plus an explicit
 seed where randomness is involved), so identical calls yield bitwise
-identical instances.  Each operator is assembled once, from its
-diagonals or its entries, with no intermediate sparse products, by the
-scipy kernels that ``scipy.sparse`` runs for the same conversions
-(``linalg.sparsetools``), so scipy.sparse itself is never imported.
+identical instances.  Each operator is a structured-grid stencil or a
+diagonal, so each builder computes its diagonals and hands them to
+``SparseOperator.from_diagonals``: the operator multiplies through them
+from the start and derives its compressed-row arrays only if something
+reads them.  No builder calls a sparse kernel itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SparseOperator, index_dtype, sparsetools
+from .linalg import SparseOperator
 from .rng import SplitMix64
 
 __all__ = [
@@ -37,8 +38,7 @@ class ProblemInstance:
 
 
 def _diagonal_operator(values: np.ndarray) -> SparseOperator:
-    n = len(values)
-    return SparseOperator(n, n, np.arange(n + 1), np.arange(n), values, symmetric=True)
+    return SparseOperator.from_diagonals([0], values[None, :], symmetric=True)
 
 
 def make_identity(n: int) -> ProblemInstance:
@@ -73,14 +73,13 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
     Dirichlet boundaries are folded into the matrix.  The manufactured
     solution has seeded uniform entries in [0, 1) and b = A x_true.
 
-    The operator is built from its 2·dims + 1 diagonals in one step: the
-    main diagonal 2·dims and, per axis, -1 at offsets ±n**axis, zeroed
-    where the neighbour lies across a grid line and dropped by scipy's
-    DIA-to-CSR kernel, which ``sp.diags(...).tocsr()`` runs.  It
-    stores the same arrays as the sum of Kronecker products
-    T⊗I + I⊗T (and the 3-D analogue) of the 1-D Laplacian T, without
-    building them, except at n = 2, where scipy's product keeps explicit
-    zeros that this build does not store.
+    The operator is built from its 2·dims + 1 diagonals: the main
+    diagonal 2·dims and, per axis, -1 at offsets ±n**axis, zeroed where
+    the neighbour lies across a grid line.  Its CSR arrays, derived on
+    first read, are the ones ``sp.diags(...).tocsr()`` stores, and the same
+    as the sum of Kronecker products T⊗I + I⊗T (and the 3-D analogue) of
+    the 1-D Laplacian T, except at n = 2, where scipy's product keeps
+    explicit zeros that this build does not store.
     """
     if dims not in (2, 3):
         raise ValueError("dims must be 2 or 3")
@@ -89,27 +88,21 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
     n = n_per_side
     N = n ** dims
     strides = [n ** axis for axis in range(dims)]
-    offsets = np.array([-s for s in reversed(strides)] + [0] + strides)
+    offsets = [-s for s in reversed(strides)] + [0] + strides
     # the DIA layout: values[k, j] is the entry (j - offsets[k], j)
     values = np.zeros((len(offsets), N))
     values[dims] = 2.0 * dims
     for axis, stride in enumerate(strides):
-        coupling = np.full(N - stride, -1.0)
-        # point p couples to p + stride unless it ends its grid line
-        coupling[np.arange(N - stride) // stride % n == n - 1] = 0.0
-        values[dims - 1 - axis, :N - stride] = coupling
-        values[dims + 1 + axis, stride:] = coupling
-    stored = N + 2 * sum(N - stride for stride in strides)
-    index = index_dtype(N, stored)
-    indptr, indices, data = np.empty(N + 1, index), np.empty(stored, index), np.empty(stored)
-    nnz = sparsetools.dia_tocsr(N, N, len(offsets), N, offsets.astype(index), values,
-                                np.arange(len(offsets), dtype=index), data, indices, indptr)
-    op = SparseOperator(N, N, indptr, indices[:nnz], data[:nnz], symmetric=True)
+        lower, upper = values[dims - 1 - axis], values[dims + 1 + axis]
+        # point p couples to p + stride unless it ends its grid line, as
+        # the last stride points (the padding of ``lower``) all do
+        lower[:] = -1.0
+        lower.reshape(-1, n, stride)[:, n - 1] = 0.0
+        upper[stride:] = lower[:N - stride]
+    op = SparseOperator.from_diagonals(offsets, values, symmetric=True)
     x_true = SplitMix64(seed).uniform01(N)
-    # b = A x_true through the CSR kernel, as scipy's ``csr @ x`` runs it,
-    # leaving the product that ``apply`` builds on first use unbuilt
-    b = np.zeros(N)
-    sparsetools.csr_matvec(N, N, op.indptr, op.indices, op.data, x_true, b)
+    # the DIA product gives the bits of scipy's ``csr @ x_true`` (see linalg)
+    b = op.apply(x_true)
     return ProblemInstance(op, b, x_true,
                            f"poisson{dims}d(n={n},seed={seed})")
 
@@ -135,11 +128,12 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
     kappa = np.where(inside, float(contrast), 1.0)
 
     N = n * n
-    cell = np.arange(N).reshape(n, n)
     lines = np.arange(n)
-    rows, cols, vals = [], [], []
+    offsets = [-n, -1, 0, 1, n]
+    values = np.zeros((len(offsets), N))
     diag = np.zeros((n, n))
-    # the four faces in a fixed order, so each diagonal sum rounds the same
+    # the four faces in a fixed order, so each diagonal sum rounds the same;
+    # the neighbour across face (di, dj) lies on diagonal di·n + dj
     for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
         si, sj = lines + di, lines + dj
         interior = ((si >= 0) & (si < n))[:, None] & ((sj >= 0) & (sj < n))[None, :]
@@ -150,22 +144,10 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
         # face folds the boundary value in with the cell's own kappa
         c = 2.0 * kappa * nb / (kappa + nb)
         diag += np.where(interior, c, kappa)
-        rows.append(cell[interior])
-        cols.append((ii * n + jj)[interior])
-        vals.append(-c[interior])
-    rows.append(cell.ravel())
-    cols.append(cell.ravel())
-    vals.append(diag.ravel())
-    vals = np.concatenate(vals)
-    nnz = len(vals)
-    index = index_dtype(N, nnz)
-    rows, cols = (np.concatenate(a).astype(index) for a in (rows, cols))
-    # scipy's COO-to-CSR conversion: entries in row order, then each row's
-    # columns sorted (no two entries share a place, so none are summed)
-    indptr, indices, data = np.empty(N + 1, index), np.empty(nnz, index), np.empty(nnz)
-    sparsetools.coo_tocsr(N, N, nnz, rows, cols, vals, indptr, indices, data)
-    sparsetools.csr_sort_indices(N, indptr, indices, data)
-    op = SparseOperator(N, N, indptr, indices, data, symmetric=True)
+        # the DIA layout: the entry (row, column) sits at values[k, column]
+        values[offsets.index(di * n + dj), (ii * n + jj)[interior]] = -c[interior]
+    values[offsets.index(0)] = diag.ravel()
+    op = SparseOperator.from_diagonals(offsets, values, symmetric=True)
     b = inside.astype(np.float64).ravel()
     return ProblemInstance(op, b, None,
                            f"sinker(n={n},contrast={contrast:g})")

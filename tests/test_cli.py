@@ -321,12 +321,14 @@ def test_commands_never_import_scipy_sparse(tmp_path):
         "    assert main(['solve', '--solver', 'pcg', '--pc', 'jacobi'] + problem) == 0",
         "    assert main(['compare', '--methods', 'fgmres,pipefcg,gcr', '--pc', 'jacobi',",
         f"                 '--out', {str(tmp_path / 'c.csv')!r}] + problem) == 0",
+        "assert main(['solve', '--solver', 'fcg', '--pc', 'block-jacobi', '--problem', 'poisson2d',",
+        "             '--n', '8']) == 0",
         "loaded = [m for m in ('scipy.sparse', 'numpy.f2py', 'numpy.testing') if m in sys.modules]",
         "assert loaded == [], loaded",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("converged=1") == 8
+    assert proc.stdout.count("converged=1") == 9
 
 
 @pytest.mark.parametrize("pc", ["jacobi", "nested-krylov"])

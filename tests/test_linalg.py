@@ -372,9 +372,12 @@ def test_diagonal_form_is_built_on_the_first_apply_only():
     diagonal_form = linalg._diagonal_form
     with mock.patch.object(linalg, "_diagonal_form", counting):
         prob = make_poisson(2, 8)
+        # an operator built from diagonals multiplies through them
+        prob.A.apply(prob.x_true)
+        A = SparseOperator(64, 64, prob.A.indptr, prob.A.indices, prob.A.data)
         assert built == []
         for _ in range(3):
-            prob.A.apply(prob.x_true)
+            A.apply(prob.x_true)
         assert built == [(64, 64)]
 
 
@@ -383,6 +386,128 @@ def test_operator_arrays_are_the_csr_arrays():
     assert op.indptr is op.csr.indptr
     assert op.indices is op.csr.indices
     assert op.data is op.csr.data
+
+
+def _tridiagonal(lower, main, upper):
+    """Diagonals -1, 0, +1 in the DIA layout, zero where each ends."""
+    return np.array([np.r_[lower, 0.0], main, np.r_[0.0, upper]])
+
+
+def test_from_diagonals_hand_values():
+    A = SparseOperator.from_diagonals([-1, 0, 1], _tridiagonal([-1.0, -1.0], [2.0, 2.0, 2.0],
+                                                                [-1.0, -1.0]), symmetric=True)
+    assert A.to_dense().tolist() == _toy_matrix().to_dense().tolist()
+    assert A.nnz == 7 and A.diagonal().tolist() == [2.0, 2.0, 2.0]
+    assert A.apply(np.array([1.0, 2.0, 3.0])).tolist() == [0.0, 0.0, 4.0]
+    assert repr(A) == "SparseOperator(3x3, nnz=7, symmetric)"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_diagonals_rejects_nonfinite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SparseOperator.from_diagonals([0], [[1.0, bad, 1.0]])
+
+
+@pytest.mark.parametrize("offsets,values,match", [
+    ([1, 0], np.zeros((2, 3)), "ascending"),
+    ([0, 0], np.zeros((2, 3)), "ascending"),
+    ([-3, 0], np.zeros((2, 3)), "out of range"),
+    ([0, 3], np.zeros((2, 3)), "out of range"),
+    ([0, 1], np.zeros((3, 3)), "shape"),
+    ([0], np.zeros(3), "shape"),
+    ([[0]], np.zeros((1, 3)), "shape"),
+    ([0], np.zeros((1, 0)), "positive"),
+    # the first place of diagonal +1 and the last of -1 lie outside
+    ([1], [[5.0, 1.0, 1.0]], "outside"),
+    ([-1], [[1.0, 1.0, 5.0]], "outside"),
+])
+def test_from_diagonals_rejects_malformed_input(offsets, values, match):
+    with pytest.raises(ValueError, match=match):
+        SparseOperator.from_diagonals(offsets, values)
+
+
+@pytest.mark.parametrize("offsets,values", [
+    ([-1, 0, 1], _tridiagonal([1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 3.0])),
+    # an unpaired diagonal holding a nonzero
+    ([0, 2], [[1.0, 1.0, 1.0], [0.0, 0.0, 4.0]]),
+    ([-2, 0], [[4.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+])
+def test_from_diagonals_rejects_a_false_symmetric_flag(offsets, values):
+    with pytest.raises(ValueError, match="not symmetric"):
+        SparseOperator.from_diagonals(offsets, values, symmetric=True)
+    assert SparseOperator.from_diagonals(offsets, values).symmetry_error() > 0.0
+
+
+@pytest.mark.parametrize("offsets,values", [
+    # an all-zero unpaired diagonal, a signed zero among its places
+    ([0, 1], [[1.0, 1.0, 1.0], [0.0, -0.0, 0.0]]),
+    # a 0.0/-0.0 pair
+    ([-1, 0, 1], _tridiagonal([0.0, 2.0], [1.0, 1.0, 1.0], [-0.0, 2.0])),
+])
+def test_from_diagonals_reads_signed_zeros_as_symmetry_error_does(offsets, values):
+    A = SparseOperator.from_diagonals(offsets, values, symmetric=True)
+    assert A.symmetry_error() == 0.0
+
+
+def test_from_diagonals_copies_its_values():
+    values = np.array([[1.0, 2.0]])
+    A = SparseOperator.from_diagonals([0], values)
+    values[0, 0] = 7.0
+    assert A.diagonal().tolist() == [1.0, 2.0]
+
+
+@st.composite
+def _diagonals(draw):
+    """A square operator's diagonals in scipy's DIA layout, zero outside
+    the operator, and a vector; a third of the draws mirror every diagonal,
+    so that they are symmetric up to the signs of their zeros."""
+    n = draw(st.integers(1, 12))
+    offsets = sorted(draw(st.sets(st.integers(-(n - 1), n - 1), max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mirror = draw(st.integers(0, 2)) == 0
+    if mirror:
+        offsets = sorted(set(offsets) | {-d for d in offsets})
+    values = _values(rng, len(offsets) * n).reshape(len(offsets), n)
+    for k, d in enumerate(offsets):
+        values[k, slice(n + d, None) if d < 0 else slice(0, d)] = 0.0
+    if mirror:
+        for k, d in enumerate(offsets):
+            if d > 0:
+                values[k, d:] = values[offsets.index(-d), :n - d]
+        zeros = values == 0.0
+        values[zeros & (rng.random(values.shape) < 0.5)] = -0.0
+    return np.array(offsets, dtype=np.int64), values, _values(rng, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_diagonals())
+def test_operator_from_diagonals_equals_scipys_dia_to_csr_bytewise(case):
+    offsets, values, x = case
+    n = values.shape[1]
+    ref = sp.dia_matrix((values, offsets), shape=(n, n)).tocsr()
+    A = SparseOperator.from_diagonals(offsets, values)
+    # the same entries given as scipy's CSR arrays
+    B = SparseOperator(n, n, ref.indptr, ref.indices, ref.data)
+    assert same_csr(A, ref)
+    assert A.nnz == B.nnz == ref.nnz
+    assert A.product.format == "dia"
+    for got, want in ((A.diagonal(), B.diagonal()), (A.apply(x), B.apply(x)),
+                      (A.apply(x), ref.dot(x))):
+        assert got.tobytes() == want.tobytes()
+    error = B.symmetry_error()
+    assert A.symmetry_error() == error
+    # the flag is accepted exactly when the CSR check finds A symmetric
+    if error == 0.0:
+        assert SparseOperator.from_diagonals(offsets, values, symmetric=True).symmetric
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseOperator.from_diagonals(offsets, values, symmetric=True)
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 2), (2, 2), (3, 2), (0, 5)])
+def test_principal_submatrix_rejects_bounds_outside(lo, hi):
+    with pytest.raises(ValueError, match="not inside"):
+        _toy_matrix().principal_submatrix(lo, hi)
 
 
 @st.composite

@@ -13,6 +13,7 @@ import pytest
 from pipekrylov.linalg import SparseOperator, norm2
 from pipekrylov.preconditioners import (
     PRECONDITIONER_KINDS,
+    _jacobi_cg,
     BlockJacobiPreconditioner,
     FaithfulnessEstimate,
     IdentityPreconditioner,
@@ -23,10 +24,10 @@ from pipekrylov.preconditioners import (
     make_preconditioner,
     probe_faithfulness,
 )
-from pipekrylov.problems import make_identity, make_poisson
+from pipekrylov.problems import make_identity, make_poisson, make_sinker
 from pipekrylov.rng import SplitMix64
 
-from conftest import random_spd
+from conftest import random_spd, same_csr
 
 
 def test_identity_returns_an_equal_copy():
@@ -83,6 +84,35 @@ def test_block_jacobi_validation():
         BlockJacobiPreconditioner(prob.A, n_blocks=17)
     with pytest.raises(ValueError, match="inner iteration"):
         BlockJacobiPreconditioner(prob.A, inner_iters=0)
+
+
+def _block_bounds(n: int, n_blocks: int) -> list:
+    size = n // n_blocks
+    bounds = [k * size for k in range(n_blocks)] + [n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+@pytest.mark.parametrize("build", [lambda: make_poisson(2, 16).A,
+                                   lambda: make_sinker(16, 1e3).A,
+                                   lambda: random_spd(13, seed=2)[0]])
+@pytest.mark.parametrize("n_blocks", [1, 3, 4])
+def test_block_jacobi_is_scipys_block_slicing_bytewise(build, n_blocks):
+    A = build()
+    rng = np.random.default_rng(n_blocks)
+    r = rng.standard_normal(A.n_rows)
+    # the blocks scipy.sparse slices, applied by its product: the former
+    # assembly of the preconditioner, kept as its oracle
+    want = np.zeros_like(r)
+    for lo, hi in _block_bounds(A.n_rows, n_blocks):
+        ref = A.csr[lo:hi, lo:hi].tocsr()
+        block = A.principal_submatrix(lo, hi)
+        assert same_csr(block, ref)
+        for _ in range(3):
+            x = rng.standard_normal(hi - lo)
+            assert block.apply(x).tobytes() == ref.dot(x).tobytes()
+        want[lo:hi] = _jacobi_cg(ref.dot, ref.diagonal(), r[lo:hi], 5)
+    got = BlockJacobiPreconditioner(A, n_blocks=n_blocks, inner_iters=5).apply(r)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_nested_krylov_approaches_the_inverse():

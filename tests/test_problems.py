@@ -7,11 +7,16 @@ the diagonal models.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pipekrylov import linalg
 from pipekrylov.linalg import SparseOperator
+from pipekrylov.preconditioners import JacobiPreconditioner
 from pipekrylov.problems import (
     make_identity,
     make_poisson,
@@ -19,6 +24,7 @@ from pipekrylov.problems import (
     make_toy_diagonal,
 )
 from pipekrylov.rng import SplitMix64
+from pipekrylov.solvers import SolverConfig, solve
 
 from conftest import same_csr
 
@@ -227,6 +233,53 @@ def test_diagonal_models_are_scipys_builds_bytewise():
     lam = 1.0 + 9.0 * np.arange(50, dtype=np.float64) / 49
     assert same_csr(make_toy_diagonal(50, 10.0).A, sp.diags(lam, format="csr"))
 
+
+
+def _builtin_problems():
+    return [make_poisson(2, 16), make_poisson(3, 6), make_sinker(16, 1e3), make_identity(7),
+            make_toy_diagonal(50, 10.0)]
+
+
+def test_builtin_problems_build_and_solve_without_converting_to_csr():
+    # every built-in operator is born in its diagonal form: building it,
+    # its Jacobi preconditioner and monitored solves need no conversion,
+    # transpose or difference of CSR arrays
+    def refuse(*args):
+        raise AssertionError("a CSR conversion kernel ran")
+
+    with contextlib.ExitStack() as patches:
+        for name in ("dia_tocsr", "coo_tocsr", "csr_sort_indices", "csr_tocsc",
+                     "csr_minus_csr", "csr_diagonal"):
+            patches.enter_context(mock.patch.object(linalg.sparsetools, name, refuse))
+        problems = _builtin_problems()
+        for prob in problems:
+            B = JacobiPreconditioner(prob.A)
+            for method in ("pcg", "pipefcg", "gcr", "pipefgmres"):
+                res = solve(SolverConfig(method=method, monitor_true_residual=True),
+                            prob.A, B, prob.b, x_true=prob.x_true)
+                assert res.iterations > 0
+    # read afterwards, the CSR arrays are scipy's
+    poisson2, poisson3, sinker, identity, toy = (prob.A for prob in problems)
+    assert same_csr(poisson2, _poisson_by_scipy_diags(2, 16, 0)[0])
+    assert same_csr(poisson3, _poisson_by_scipy_diags(3, 6, 0)[0])
+    assert same_csr(sinker, _sinker_by_loop(16, 1e3)[0])
+    assert same_csr(identity, sp.identity(7, format="csr"))
+    lam = 1.0 + 9.0 * np.arange(50, dtype=np.float64) / 49
+    assert same_csr(toy, sp.diags(lam, format="csr"))
+
+
+@pytest.mark.parametrize("build", [lambda: make_poisson(2, 2), lambda: make_poisson(2, 8),
+                                   lambda: make_poisson(3, 2), lambda: make_poisson(3, 5)]
+                         + [lambda n=n: make_sinker(n, 1e3) for n in (4, 8, 32, 64)]
+                         + [lambda: make_identity(7), lambda: make_toy_diagonal(50, 10.0)])
+def test_builders_hold_the_diagonal_form_apply_builds_from_csr(build):
+    A = build().A
+    # the same entries given as CSR arrays build their diagonal form on
+    # the first apply
+    ref = SparseOperator(A.n_rows, A.n_cols, A.indptr, A.indices, A.data).product
+    assert ref.format == A.product.format == "dia"
+    for built, want in ((A.product.offsets, ref.offsets), (A.product.data, ref.data)):
+        assert built.dtype == want.dtype and built.tobytes() == want.tobytes()
 
 
 def test_sinker_validation():

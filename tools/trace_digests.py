@@ -43,6 +43,7 @@ import numpy as np
 from pipekrylov import cli
 from pipekrylov.linalg import SparseOperator
 from pipekrylov.preconditioners import (
+    BlockJacobiPreconditioner,
     IdentityPreconditioner,
     JacobiPreconditioner,
     NoisyPreconditioner,
@@ -141,6 +142,10 @@ CASES = {
     # entries scatter over hundreds of diagonals, so the operator is
     # applied in compressed-row form
     "poisson-permuted": (_permuted_poisson, {}),
+    # five inner CG iterations on each of four diagonal blocks, each block
+    # an operator of its own cut from the Poisson operator
+    "block-jacobi-4": (lambda: _poisson(lambda A: BlockJacobiPreconditioner(A, n_blocks=4)),
+                       {}),
 }
 
 
