@@ -289,7 +289,7 @@ def _build_operator(values: dict) -> tuple[ProblemInstance, SparseOperator]:
     problem = _PROBLEMS[kind](values)
     A = problem.A
     if values["general"]:
-        A = SparseOperator(A.n_rows, A.n_cols, A.indptr, A.indices, A.data)
+        A = A.as_general()
     return problem, A
 
 

@@ -22,25 +22,24 @@ resident memory of a process).  The kernels called are ``csr_matvec``,
 ``dia_matvec``, ``csr_diagonal``, ``csr_tocsc``, ``csr_minus_csr``,
 ``dia_tocsr`` and ``get_csr_submatrix``, all of them here: the ones
 scipy.sparse itself runs for the same operations, so every result keeps
-its bits.  Only the scipy views ``SparseOperator.csr`` and ``.product``
-and the Jacobi scaling ``SparseOperator.scaled`` import scipy.sparse, on
-first use.
+its bits.  Only the scipy view ``SparseOperator.csr`` imports
+scipy.sparse, on first use.
 
 An operator is given either by its compressed-row (CSR) arrays or, square,
 by its diagonals (``SparseOperator.from_diagonals``), the form in which
-the problem builders compute their stencils.  One given by its diagonals
-keeps them and derives its CSR arrays (``dia_tocsr``) only when something
-first reads them, so that building it forms no CSR arrays, transpose or
-difference that a solve does not read.
-
-``SparseOperator.apply`` runs one of two products.  An operator given by
-its diagonals, or a banded one given by CSR arrays, whose diagonal (DIA)
-form stores at most ``DIAGONAL_FILL_MAX`` times its nonzeros, is applied
-by the DIA kernel, which streams no column indices; any other operator by
-the CSR kernel.  The two agree bit for bit on finite input: both sum each
-row in ascending column order from +0, and a zero of the DIA form adds ±0
-to a partial sum that is never −0.  On a non-finite input 0·inf can put a
-NaN in a row that the CSR product leaves finite.
+the problem builders compute their stencils; a banded operator should be
+built by its diagonals.  The form fixes the product: ``apply`` runs the
+CSR kernel on an operator given by CSR arrays and the diagonal (DIA)
+kernel, which streams no column indices, on one given by its diagonals.
+The operators derived from one, its Jacobi scaling ``scaled`` and its
+blocks ``principal_submatrix``, keep its form.  One given by its
+diagonals derives its CSR arrays (``dia_tocsr``) only when something first
+reads them, so that building it forms no CSR arrays, transpose or
+difference that a solve does not read.  The two products agree bit for
+bit on finite input: both sum each row in ascending column order from +0,
+and a zero of the DIA form adds ±0 to a partial sum that is never −0.  On
+a non-finite input 0·inf can put a NaN in a row that the CSR product
+leaves finite.
 """
 
 from __future__ import annotations
@@ -63,15 +62,8 @@ __all__ = [
     "norm2",
     "maxpy",
     "stacked_maxpy",
-    "DIAGONAL_FILL_MAX",
     "SparseOperator",
 ]
-
-# ``SparseOperator.apply`` takes the diagonal form when it stores at most
-# this many entries, padding zeros included, per stored nonzero.  Poisson
-# 2-D n=128 needs 1.006, 3-D n=40 1.022 and the sinker n=64 1.013; a
-# permuted stencil or scattered entries need hundreds.
-DIAGONAL_FILL_MAX = 2
 
 # the kernels of scipy.sparse._sparsetools that the package calls
 KERNELS = ("csr_matvec", "dia_matvec", "csr_diagonal", "csr_tocsc", "csr_minus_csr",
@@ -237,51 +229,38 @@ def _mapped(rows: int, columns: int) -> np.ndarray:
                          count=size).reshape(rows, columns)
 
 
-def _diagonal_form(op: "SparseOperator"):
-    """The DIA form ``(offsets, values)`` of an operator, offsets ascending
-    and ``values`` of shape ``(len(offsets), n_cols)``, or None when it has
-    no entries or would store more than ``DIAGONAL_FILL_MAX`` times its
-    nonzeros."""
-    n_rows, n_cols = op.shape
-    if op.nnz == 0:
-        return None
-    # diagonal of each entry, column - row, counted from the lowest one
-    diag = op.indices - np.repeat(np.arange(n_rows, dtype=np.intp), np.diff(op.indptr))
-    diag += n_rows - 1
-    present = np.bincount(diag) > 0
-    count = int(np.count_nonzero(present))
-    if count * n_cols > DIAGONAL_FILL_MAX * op.nnz:
-        return None
-    # each entry's place in the flat array: its diagonal's row, at its
-    # column, where the DIA kernel reads it.  Few temporaries, freed early,
-    # keep the peak memory of later solves steady: with more temporaries
-    # it moved by 1.4 MB between identical runs.
-    flat = (np.cumsum(present) - 1)[diag]
-    del diag
-    flat *= n_cols
-    flat += op.indices
-    values = _mapped(count, n_cols)
-    values.reshape(-1)[flat] = op.data
-    offsets = np.flatnonzero(present) - (n_rows - 1)
-    return offsets.astype(index_dtype(n_rows, n_cols)), values
-
-
 def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
-    """D^-1/2 A D^-1/2 for the diagonal D of A, which must be positive."""
-    import scipy.sparse as sp
-
+    """D^-1/2 A D^-1/2 for the diagonal D of A, which must be positive, in
+    the form A was built in.  Each stored entry a at (i, j) becomes
+    (isq[i]*a)*isq[j], the product scipy.sparse forms for S @ A @ S with
+    S = D^-1/2; an operator flagged symmetric averages it with its mirror
+    (isq[j]*a)*isq[i], which rounds differently, as (M + M^T) * 0.5 does,
+    so the scaled operator stays exactly symmetric.  Entries that come out
+    zero are dropped, as scipy's product drops them."""
     d = A.diagonal()
-    if not np.all(d > 0.0):
-        raise ValueError("prescale requires a strictly positive diagonal")
+    if A.n_rows != A.n_cols or not np.all(d > 0.0):
+        raise ValueError("prescale requires a square operator with a strictly positive "
+                         "diagonal")
     isq = 1.0 / np.sqrt(d)
-    S = sp.diags(isq)
-    M = S @ A.csr @ S
+    if A._diagonals is not None:
+        offsets, a = A._diagonals
+        cols = np.arange(A.n_cols)
+        # the row of each place; the places outside the operator hold zeros
+        rows = np.clip(cols - offsets[:, None], 0, A.n_rows - 1)
+    else:
+        a, cols = A.data, A.indices
+        rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
+    m = isq[rows] * a * isq[cols]
     if A.symmetric:
-        # the two-sided scaling rounds (isq[i]*a)*isq[j] and
-        # (isq[j]*a)*isq[i] differently; average the transpose pair so
-        # the scaled operator stays exactly symmetric
-        M = (M + M.T) * 0.5
-    return SparseOperator.from_scipy(M, symmetric=A.symmetric)
+        m += isq[cols] * a * isq[rows]
+    keep = m != 0.0
+    if A.symmetric:
+        m *= 0.5
+    if A._diagonals is not None:
+        return SparseOperator.from_diagonals(offsets, m, symmetric=A.symmetric)
+    indptr = np.concatenate(([0], np.cumsum(keep)))[A.indptr]
+    return SparseOperator(A.n_rows, A.n_cols, indptr, cols[keep], m[keep],
+                          symmetric=A.symmetric)
 
 
 class SparseOperator:
@@ -294,15 +273,16 @@ class SparseOperator:
     ``indptr`` and ``indices`` take scipy's index dtype (``index_dtype``),
     so that they are the arrays scipy would hold; ``data`` is float64.
 
-    An operator built from CSR arrays multiplies through its diagonal form
-    when that stores at most ``DIAGONAL_FILL_MAX`` times the nonzeros, and
-    through the CSR arrays otherwise; the diagonal form is built on the
-    first ``apply`` and kept.  One built by ``from_diagonals`` always
-    multiplies through its diagonals, and derives its CSR arrays from them
-    when something first reads them.  On a finite vector both products give
-    the same bits (see the module docstring); on one holding inf or NaN the
-    diagonal form can return NaN in more rows.  The Jacobi-scaled operator
-    ``scaled`` is built on first use and kept.
+    The form it is built in fixes its product.  One built from CSR arrays
+    multiplies through them, banded or not; one built by ``from_diagonals``
+    multiplies through its diagonals, which stream no column indices, and
+    derives its CSR arrays from them when something first reads them, so
+    build a banded operator by its diagonals.  On a finite vector both
+    products give the same bits (see the module docstring); on one holding
+    inf or NaN the diagonal form can return NaN in more rows.  The
+    Jacobi-scaled operator ``scaled`` and the blocks ``principal_submatrix``
+    cuts are built in the same form; ``scaled`` is built on first use and
+    kept.
     """
 
     def __init__(self, n_rows: int, n_cols: int, indptr, indices, data,
@@ -337,6 +317,7 @@ class SparseOperator:
         self._arrays = (np.ascontiguousarray(indptr, dtype=index),
                         np.ascontiguousarray(indices, dtype=index),
                         np.ascontiguousarray(data))
+        self._matvec = partial(sparsetools.csr_matvec, self.n_rows, self.n_cols, *self._arrays)
         if symmetric:
             if n_rows != n_cols:
                 raise ValueError("symmetric flag requires a square operator")
@@ -348,9 +329,8 @@ class SparseOperator:
         self.n_cols = int(n_cols)
         self.symmetric = bool(symmetric)
         self.nnz = int(nnz)
-        self._born_diagonal = False           # built by from_diagonals
+        self._matvec = None                   # the product kernel, bound by the builder
         self._arrays = None                   # (indptr, indices, data)
-        self._matvec = None                   # the product kernel, bound on the first apply
         self._diagonals = None                # the diagonal form (offsets, values)
         self._csr = None                      # the scipy view, built on first use
         self._scaled = None
@@ -397,10 +377,11 @@ class SparseOperator:
                     continue                  # the main diagonal, or checked from +|d|
                 if not same:
                     raise ValueError("operator flagged symmetric is not symmetric")
+        offsets = offsets.astype(index_dtype(n), copy=False)
         op = cls.__new__(cls)
         op._setup(n, n, symmetric, np.count_nonzero(values))
-        op._born_diagonal = True
-        op._diagonals = offsets.astype(index_dtype(n), copy=False), values
+        op._matvec = partial(sparsetools.dia_matvec, n, n, len(offsets), n, offsets, values)
+        op._diagonals = offsets, values
         return op
 
     @classmethod
@@ -476,51 +457,39 @@ class SparseOperator:
         return self._csr
 
     @property
-    def product(self):
-        """The matrix ``apply`` multiplies by, as a scipy view for
-        inspection: the diagonal form (format ``"dia"``) or ``csr``."""
-        self._bound_matvec()
-        if self._diagonals is None:
-            return self.csr
-        import scipy.sparse as sp
-
-        offsets, values = self._diagonals
-        return sp.dia_matrix((values, offsets), shape=self.shape)
-
-    @property
     def scaled(self) -> "SparseOperator":
-        """The symmetric Jacobi scaling D^-1/2 A D^-1/2, built on first use
-        and kept, so that a prescaled solve and a preconditioner built from
-        it share one operator and one diagonal form."""
+        """The symmetric Jacobi scaling D^-1/2 A D^-1/2, in this operator's
+        form, built on first use and kept, so that a prescaled solve and a
+        preconditioner built from it share one operator."""
         if self._scaled is None:
             self._scaled = _jacobi_scaled(self)
         return self._scaled
 
     def principal_submatrix(self, lo: int, hi: int) -> "SparseOperator":
-        """The block A[lo:hi, lo:hi] as an operator given by its CSR arrays,
+        """The block A[lo:hi, lo:hi] as an operator in this operator's form:
+        the diagonals that reach into the block, sliced, or the CSR arrays
         cut by the kernel that scipy.sparse slices with."""
         if not 0 <= lo < hi <= min(self.shape):
             raise ValueError(f"block [{lo}, {hi}) is not inside a {self.n_rows}x{self.n_cols} "
                              f"operator")
+        m = hi - lo
+        if self._diagonals is not None:
+            offsets, values = self._diagonals
+            inside = np.abs(offsets) < m
+            block = values[inside, lo:hi]
+            # zero the places whose row, column - offset, falls outside the block
+            rows = np.arange(m) - offsets[inside, None]
+            block[(rows < 0) | (rows >= m)] = 0.0
+            return SparseOperator.from_diagonals(offsets[inside], block)
         indptr, indices, data = sparsetools.get_csr_submatrix(
             self.n_rows, self.n_cols, self.indptr, self.indices, self.data, lo, hi, lo, hi)
-        return SparseOperator(hi - lo, hi - lo, indptr, indices, data)
+        return SparseOperator(m, m, indptr, indices, data)
 
-    def _bound_matvec(self):
-        """The product kernel with the operator's arguments bound; for an
-        operator given as CSR arrays it chooses and builds the diagonal
-        form on its first call."""
-        if self._matvec is None:
-            if not self._born_diagonal:
-                self._diagonals = _diagonal_form(self)
-            if self._diagonals is None:
-                self._matvec = partial(sparsetools.csr_matvec, self.n_rows, self.n_cols,
-                                       self.indptr, self.indices, self.data)
-            else:
-                offsets, values = self._diagonals
-                self._matvec = partial(sparsetools.dia_matvec, self.n_rows, self.n_cols,
-                                       len(offsets), values.shape[1], offsets, values)
-        return self._matvec
+    def as_general(self) -> "SparseOperator":
+        """The same operator, in the same form, without the symmetric flag."""
+        if self._diagonals is not None:
+            return SparseOperator.from_diagonals(*self._diagonals)
+        return SparseOperator(self.n_rows, self.n_cols, *self._arrays)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product y_i = sum_j A_ij x_j, each row summed in
@@ -528,12 +497,12 @@ class SparseOperator:
         if x.ndim != 1 or x.shape[0] != self.n_cols:
             raise ValueError(f"operator has {self.n_cols} columns, vector has shape {x.shape}")
         y = np.zeros(self.n_rows)
-        (self._matvec or self._bound_matvec())(x, y)
+        self._matvec(x, y)
         return y
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal as a dense vector (absent entries are zero)."""
-        if self._born_diagonal:
+        if self._diagonals is not None:
             offsets, values = self._diagonals
             main = values[offsets == 0]
             # adding +0.0 reads a -0.0 as the +0.0 of an absent CSR entry

@@ -323,34 +323,43 @@ def test_commands_never_import_scipy_sparse(tmp_path):
         f"                 '--out', {str(tmp_path / 'c.csv')!r}] + problem) == 0",
         "assert main(['solve', '--solver', 'fcg', '--pc', 'block-jacobi', '--problem', 'poisson2d',",
         "             '--n', '8']) == 0",
+        "assert main(['solve', '--solver', 'pcg', '--pc', 'jacobi', '--prescale', 'true',",
+        "             '--problem', 'sinker', '--n', '8']) == 0",
+        "assert main(['compare', '--general', '--methods', 'fgmres,pipefgmres', '--problem',",
+        f"             'poisson2d', '--n', '8', '--out', {str(tmp_path / 'g.csv')!r}]) == 0",
         "loaded = [m for m in ('scipy.sparse', 'numpy.f2py', 'numpy.testing') if m in sys.modules]",
         "assert loaded == [], loaded",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("converged=1") == 9
+    assert proc.stdout.count("converged=1") == 12
 
 
 @pytest.mark.parametrize("pc", ["jacobi", "nested-krylov"])
 def test_compare_builds_one_scaled_operator(pc, tmp_path, capsys, monkeypatch):
-    scaled, converted = [], []
+    scaled, applied = [], []
+    build, apply = linalg._jacobi_scaled, linalg.SparseOperator.apply
 
-    def counting(build, log):
-        def wrapper(arg):
-            log.append(arg)
-            return build(arg)
-        return wrapper
+    def counting_build(A):
+        scaled.append(A)
+        return build(A)
 
-    monkeypatch.setattr(linalg, "_jacobi_scaled", counting(linalg._jacobi_scaled, scaled))
-    monkeypatch.setattr(linalg, "_diagonal_form", counting(linalg._diagonal_form, converted))
+    def recording_apply(op, x):
+        applied.append(id(op))
+        return apply(op, x)
+
+    monkeypatch.setattr(linalg, "_jacobi_scaled", counting_build)
+    monkeypatch.setattr(linalg.SparseOperator, "apply", recording_apply)
     assert main(["compare", "--problem", "poisson2d", "--n", "16", "--prescale", "true",
                  "--pc", pc, "--methods", "pcg,fcg,gcr", "--rtol", "1e-8",
                  "--out", str(tmp_path / "c.csv")]) == 0
     assert capsys.readouterr().out.count("converged=1") == 3
     assert len(scaled) == 1
-    # the scaled operator's diagonal form is the only one: the unscaled
-    # operator is never applied
-    assert len(converted) == 1
+    # the builder applies the unscaled operator once, to x_true; the
+    # solves and the preconditioner apply the scaled one only
+    A = scaled[0]
+    assert applied.count(id(A)) == 1
+    assert set(applied) == {id(A), id(A.scaled)}
 
 
 # a valid value other than the default for every SolverConfig field but method

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from pipekrylov import linalg
 from pipekrylov.linalg import (
-    DIAGONAL_FILL_MAX,
     SparseOperator,
     as_vector,
     blocks,
@@ -32,7 +31,7 @@ from pipekrylov.linalg import (
 from pipekrylov.problems import make_identity, make_poisson, make_sinker, make_toy_diagonal
 from pipekrylov.rng import SplitMix64
 
-from conftest import same_csr
+from conftest import random_spd, same_csr
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -308,38 +307,47 @@ def _values(rng, count: int) -> np.ndarray:
 
 @st.composite
 def _banded_operator(draw):
-    """A random CSR operator of any rectangular shape on a few diagonals,
-    with a fifth of each diagonal's positions left out (so rows can be
-    empty) and explicit zeros among the stored values."""
-    n_rows = draw(st.integers(1, 12))
-    n_cols = draw(st.integers(1, 12))
-    offsets = draw(st.sets(st.integers(-(n_rows - 1), n_cols - 1), max_size=6))
+    """A random square CSR operator on a few diagonals, with a fifth of
+    each diagonal's positions left out (so rows can be empty) and explicit
+    zeros among the stored values, and its offsets and DIA values."""
+    n = draw(st.integers(1, 12))
+    offsets = sorted(draw(st.sets(st.integers(-(n - 1), n - 1), max_size=6)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    stored = np.zeros((n_rows, n_cols), dtype=bool)
+    stored = np.zeros((n, n), dtype=bool)
     for k in offsets:
-        i = np.arange(max(0, -k), min(n_rows, n_cols - k))
+        i = np.arange(max(0, -k), min(n, n - k))
         i = i[rng.random(len(i)) < 0.8]
         stored[i, i + k] = True
     rows, cols = np.nonzero(stored)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
-    op = SparseOperator(n_rows, n_cols, indptr, cols, _values(rng, len(cols)))
-    return op, _values(rng, n_cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    op = SparseOperator(n, n, indptr, cols, _values(rng, len(cols)))
+    values = np.zeros((len(offsets), n))
+    values[np.searchsorted(offsets, cols - rows), cols] = op.data
+    return op, offsets, values, _values(rng, n)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_banded_operator())
 def test_diagonal_product_equals_the_csr_product_bytewise(case):
-    op, x = case
-    # with the bound lifted every operator with an entry takes the diagonal form
-    with mock.patch.object(linalg, "DIAGONAL_FILL_MAX", op.n_rows * op.n_cols):
-        assert op.product.format == ("dia" if op.nnz else "csr")
-        assert op.apply(x).tobytes() == op.csr.dot(x).tobytes()
+    op, offsets, values, x = case
+    # the same entries given by their diagonals; a zero of the diagonal
+    # form, stored or not in the CSR arrays, adds ±0 to a row sum never -0
+    by_diagonals = SparseOperator.from_diagonals(offsets, values)
+    assert by_diagonals.apply(x).tobytes() == op.apply(x).tobytes() == op.csr.dot(x).tobytes()
+
+
+def _permuted(A: SparseOperator) -> SparseOperator:
+    csr = A.csr
+    perm = np.argsort(SplitMix64(11).uniform01(csr.shape[0]), kind="stable")
+    return SparseOperator.from_scipy(csr[perm][:, perm], symmetric=True)
 
 
 def _permuted_poisson() -> SparseOperator:
-    csr = make_poisson(2, 16).A.csr
-    perm = np.argsort(SplitMix64(11).uniform01(csr.shape[0]), kind="stable")
-    return SparseOperator.from_scipy(csr[perm][:, perm], symmetric=True)
+    return _permuted(make_poisson(2, 16).A)
+
+
+def _given_by_csr(A: SparseOperator) -> SparseOperator:
+    return SparseOperator(A.n_rows, A.n_cols, A.indptr, A.indices, A.data, symmetric=A.symmetric)
 
 
 @pytest.mark.parametrize("build,form", [
@@ -350,35 +358,86 @@ def _permuted_poisson() -> SparseOperator:
     (lambda: make_identity(7).A, "dia"),
     (_permuted_poisson, "csr"),
     (lambda: SparseOperator(3, 3, [0, 0, 0, 0], [], []), "csr"),
-    # 2 stored entries on a diagonal of 4 sit at the bound, 1 entry above it
-    (lambda: SparseOperator(4, 4, [0, 1, 2, 2, 2], [0, 1], [1.0, 2.0]), "dia"),
+    (lambda: SparseOperator(4, 4, [0, 1, 2, 2, 2], [0, 1], [1.0, 2.0]), "csr"),
     (lambda: SparseOperator(4, 4, [0, 1, 1, 1, 1], [0], [1.0]), "csr"),
+    # a banded operator given by CSR arrays keeps the CSR product
+    (lambda: _given_by_csr(make_poisson(2, 16).A), "csr"),
 ])
-def test_product_form_follows_the_fill_bound(build, form):
-    assert DIAGONAL_FILL_MAX == 2
-    op = build()
-    assert op.product.format == form
-    x = np.random.default_rng(op.n_cols).standard_normal(op.n_cols)
-    assert op.apply(x).tobytes() == op.csr.dot(x).tobytes()
+def test_product_form_follows_the_birth(build, form):
+    calls = []
+
+    def counting(name):
+        kernel = getattr(linalg.sparsetools, name)
+
+        def run(*args):
+            calls.append(name)
+            return kernel(*args)
+        return run
+
+    with mock.patch.multiple(linalg.sparsetools, csr_matvec=counting("csr_matvec"),
+                             dia_matvec=counting("dia_matvec")):
+        op = build()
+        calls.clear()                         # the builders apply the operator to x_true
+        x = np.random.default_rng(op.n_cols).standard_normal(op.n_cols)
+        y = op.apply(x)
+    assert calls == [f"{form}_matvec"]
+    assert y.tobytes() == op.csr.dot(x).tobytes()
 
 
-def test_diagonal_form_is_built_on_the_first_apply_only():
-    built = []
+def _scipy_scaled(A: SparseOperator):
+    """scipy's D^-1/2 A D^-1/2, averaged with its transpose when A is
+    flagged symmetric: the former build of ``SparseOperator.scaled``."""
+    S = sp.diags(1.0 / np.sqrt(A.diagonal()))
+    M = S @ A.csr @ S
+    return (M + M.T) * 0.5 if A.symmetric else M
 
-    def counting(csr):
-        built.append(csr.shape)
-        return diagonal_form(csr)
 
-    diagonal_form = linalg._diagonal_form
-    with mock.patch.object(linalg, "_diagonal_form", counting):
-        prob = make_poisson(2, 8)
-        # an operator built from diagonals multiplies through them
-        prob.A.apply(prob.x_true)
-        A = SparseOperator(64, 64, prob.A.indptr, prob.A.indices, prob.A.data)
-        assert built == []
-        for _ in range(3):
-            A.apply(prob.x_true)
-        assert built == [(64, 64)]
+def _nonsymmetric_tridiagonal() -> SparseOperator:
+    # an upwinded convection-diffusion stencil given by its diagonals
+    n = 40
+    return SparseOperator.from_diagonals(
+        [-1, 0, 1], _tridiagonal(np.full(n - 1, -1.3), np.linspace(2.3, 9.7, n),
+                                 np.full(n - 1, -0.7)))
+
+
+def _random_nonsymmetric() -> SparseOperator:
+    rng = np.random.default_rng(4)
+    dense = rng.standard_normal((30, 30)) * (rng.random((30, 30)) < 0.3)
+    np.fill_diagonal(dense, 1.0 + 10.0 * rng.random(30))
+    return SparseOperator.from_dense(dense)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_poisson(2, 16).A,
+    lambda: make_poisson(3, 6).A,
+    lambda: make_sinker(32, 1e3).A,
+    lambda: make_sinker(32, 1e6).A,
+    _nonsymmetric_tridiagonal,
+    lambda: _permuted(make_sinker(16, 1e3).A),
+    lambda: _given_by_csr(make_sinker(16, 1e6).A),
+    lambda: random_spd(17, seed=5)[0],
+    _random_nonsymmetric,
+    # an explicit zero at (0, 2) whose mirror (2, 0) is not stored
+    lambda: SparseOperator(3, 3, [0, 3, 5, 6], [0, 1, 2, 0, 1, 2], [2.0, -1.0, 0.0, -1.0,
+                                                                     3.0, 5.0], symmetric=True),
+    # a subnormal pair whose average halves to zero, which scipy keeps stored
+    lambda: SparseOperator(2, 2, [0, 2, 4], [0, 1, 0, 1], [4.0, 5e-324, 5e-324, 0.25],
+                           symmetric=True),
+])
+def test_scaled_is_scipys_two_sided_scaling_bytewise(build):
+    A = build()
+    ref = _scipy_scaled(A)
+    B = A.scaled
+    assert B.symmetric == A.symmetric
+    assert same_csr(B, ref) and B.nnz == ref.nnz
+    x = np.random.default_rng(A.n_cols).standard_normal(A.n_cols)
+    assert B.apply(x).tobytes() == ref.dot(x).tobytes()
+    assert A.scaled is B
+
+
+def test_scaled_rejects_a_nonpositive_diagonal():
+    with pytest.raises(ValueError, match="strictly positive"):
+        SparseOperator.from_dense(np.diag([1.0, 0.0, 2.0])).scaled
 
 
 def test_operator_arrays_are_the_csr_arrays():
@@ -490,7 +549,6 @@ def test_operator_from_diagonals_equals_scipys_dia_to_csr_bytewise(case):
     B = SparseOperator(n, n, ref.indptr, ref.indices, ref.data)
     assert same_csr(A, ref)
     assert A.nnz == B.nnz == ref.nnz
-    assert A.product.format == "dia"
     for got, want in ((A.diagonal(), B.diagonal()), (A.apply(x), B.apply(x)),
                       (A.apply(x), ref.dot(x))):
         assert got.tobytes() == want.tobytes()

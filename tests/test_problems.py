@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from pipekrylov import linalg
 from pipekrylov.linalg import SparseOperator
-from pipekrylov.preconditioners import JacobiPreconditioner
+from pipekrylov.preconditioners import BlockJacobiPreconditioner, JacobiPreconditioner
 from pipekrylov.problems import (
     make_identity,
     make_poisson,
@@ -243,20 +243,28 @@ def _builtin_problems():
 def test_builtin_problems_build_and_solve_without_converting_to_csr():
     # every built-in operator is born in its diagonal form: building it,
     # its Jacobi preconditioner and monitored solves need no conversion,
-    # transpose or difference of CSR arrays
+    # transpose or difference of CSR arrays.  Its Jacobi scaling, its
+    # diagonal blocks and its unflagged copy keep the diagonal form, so
+    # prescaled, block-Jacobi and general solves run no CSR kernel either.
     def refuse(*args):
-        raise AssertionError("a CSR conversion kernel ran")
+        raise AssertionError("a CSR kernel ran")
 
     with contextlib.ExitStack() as patches:
         for name in ("dia_tocsr", "coo_tocsr", "csr_sort_indices", "csr_tocsc",
-                     "csr_minus_csr", "csr_diagonal"):
+                     "csr_minus_csr", "csr_diagonal", "csr_matvec", "get_csr_submatrix"):
             patches.enter_context(mock.patch.object(linalg.sparsetools, name, refuse))
         problems = _builtin_problems()
         for prob in problems:
             B = JacobiPreconditioner(prob.A)
-            for method in ("pcg", "pipefcg", "gcr", "pipefgmres"):
-                res = solve(SolverConfig(method=method, monitor_true_residual=True),
-                            prob.A, B, prob.b, x_true=prob.x_true)
+            runs = [(SolverConfig(method=method, monitor_true_residual=True), prob.A, B)
+                    for method in ("pcg", "pipefcg", "gcr", "pipefgmres")]
+            runs += [(SolverConfig(method="pipefcg", prescale=True), prob.A,
+                      JacobiPreconditioner(prob.A.scaled)),
+                     (SolverConfig(method="fcg"), prob.A,
+                      BlockJacobiPreconditioner(prob.A, n_blocks=3)),
+                     (SolverConfig(method="fgmres"), prob.A.as_general(), B)]
+            for cfg, A, pc in runs:
+                res = solve(cfg, A, pc, prob.b, x_true=prob.x_true)
                 assert res.iterations > 0
     # read afterwards, the CSR arrays are scipy's
     poisson2, poisson3, sinker, identity, toy = (prob.A for prob in problems)
@@ -272,13 +280,13 @@ def test_builtin_problems_build_and_solve_without_converting_to_csr():
                                    lambda: make_poisson(3, 2), lambda: make_poisson(3, 5)]
                          + [lambda n=n: make_sinker(n, 1e3) for n in (4, 8, 32, 64)]
                          + [lambda: make_identity(7), lambda: make_toy_diagonal(50, 10.0)])
-def test_builders_hold_the_diagonal_form_apply_builds_from_csr(build):
+def test_builders_hold_the_diagonal_form_scipy_builds_from_csr(build):
     A = build().A
-    # the same entries given as CSR arrays build their diagonal form on
-    # the first apply
-    ref = SparseOperator(A.n_rows, A.n_cols, A.indptr, A.indices, A.data).product
-    assert ref.format == A.product.format == "dia"
-    for built, want in ((A.product.offsets, ref.offsets), (A.product.data, ref.data)):
+    # the diagonals the product streams are the ones that hold an entry,
+    # laid out as scipy's DIA conversion of the same entries lays them out
+    ref = A.csr.todia()
+    offsets, values = A._diagonals
+    for built, want in ((offsets, ref.offsets), (values, ref.data)):
         assert built.dtype == want.dtype and built.tobytes() == want.tobytes()
 
 

@@ -77,6 +77,11 @@ def _sinker():
     return prob.A, lambda: JacobiPreconditioner(prob.A), prob.b, prob.x_true
 
 
+def _sinker_prescaled():
+    prob = make_sinker(32, 1e3)
+    return prob.A, lambda: JacobiPreconditioner(prob.A.scaled), prob.b, prob.x_true
+
+
 def _permuted_poisson():
     prob = make_poisson(2, 32, seed=0)
     perm = np.argsort(SplitMix64(11).uniform01(prob.b.shape[0]), kind="stable")
@@ -138,9 +143,12 @@ CASES = {
     # window coefficients carry weight; with the window off the case does
     # not depend on the stagnation policy
     "sinker-jacobi": (_sinker, dict(numax=5, stagnation_window=0)),
-    # the same Poisson system under a seeded symmetric permutation: its
-    # entries scatter over hundreds of diagonals, so the operator is
-    # applied in compressed-row form
+    # Jacobi-scaled sinker: its diagonal runs from 4 to 4000, so the
+    # two-sided scaling rounds, unlike Poisson's exact scaling by 0.5
+    "sinker-prescale": (_sinker_prescaled, dict(prescale=True)),
+    # the same Poisson system under a seeded symmetric permutation, its
+    # entries scattered over hundreds of diagonals and given as
+    # compressed-row arrays, in which form the operator is applied
     "poisson-permuted": (_permuted_poisson, {}),
     # five inner CG iterations on each of four diagonal blocks, each block
     # an operator of its own cut from the Poisson operator
