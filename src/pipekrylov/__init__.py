@@ -32,7 +32,6 @@ from .rng import SplitMix64
 from .solvers import (
     METHODS,
     REDUCTION_LEDGER,
-    IterationTrace,
     SolveResult,
     SolverConfig,
     TraceRow,
@@ -70,7 +69,6 @@ __all__ = [
     "REDUCTION_LEDGER",
     "SolverConfig",
     "SolveResult",
-    "IterationTrace",
     "TraceRow",
     "solve",
     "MODEL_METHODS",

@@ -43,7 +43,7 @@ from .problems import (
     make_sinker,
     make_toy_diagonal,
 )
-from .solvers import SolveResult, SolverConfig, check_operator, prescale_operator, solve
+from .solvers import SolveResult, SolverConfig, check_operator, solve
 from .traceio import write_compare_csv, write_perfmodel_csv, write_trace_csv
 
 __all__ = ["main"]
@@ -299,7 +299,7 @@ def _build_pc(values: dict, A: SparseOperator):
 
 
 def _summary_line(method: str, result: SolveResult) -> str:
-    last = result.trace[-1] if len(result.trace) else None
+    last = result.trace[-1] if result.trace else None
     natural = "" if last is None else repr(last.rnorm_natural)
     true = "" if last is None or last.rnorm_true is None else repr(last.rnorm_true)
     relerr = "" if last is None or last.relerr is None else repr(last.relerr)
@@ -320,7 +320,7 @@ def _run_one(values: dict, cfg: SolverConfig, problem: ProblemInstance,
              A: SparseOperator) -> SolveResult:
     """Solve with a fresh preconditioner, so that a seeded one (``noisy``)
     starts its stream again for every method."""
-    B = _build_pc(values, prescale_operator(A) if cfg.prescale else A)
+    B = _build_pc(values, A.scaled if cfg.prescale else A)
     return solve(cfg, A, B, problem.b, x_true=problem.x_true, seed=values["seed"])
 
 

@@ -7,10 +7,11 @@ the family driver.  One loop serves all 14 methods,
 :meth:`~.common.Driver.run`: it logs row 0, finishes each accepted row,
 runs the breakdown path (refill, flagged row, restart or stop) and
 applies the stopping, stagnation and restart policy.  A method supplies
-only its refill, its per-iteration step and its per-row constants, the
-counts of blocking and overlappable reduction phases.  Each family has
-two switches, ``fused`` (the reductions batched into one blocking phase)
-and ``pipelined`` (that phase made overlappable).  The windowed driver
+only its refill and its per-iteration step; the loop reads the method's
+per-row counts of blocking and overlappable reduction phases from
+:data:`~.common.REDUCTION_LEDGER`.  Each family has two switches,
+``fused`` (the reductions batched into one blocking phase) and
+``pipelined`` (that phase made overlappable).  The windowed driver
 (:mod:`.windowed`) runs the CG, FCG and CR families; all but the
 window-free CG family and ``pcr`` keep their retained directions in one
 :class:`~.common.DirectionWindow`, a ring of ``numax`` slots in one
@@ -40,11 +41,11 @@ from .common import (
     FCG_FAMILY,
     GMRES_FAMILY,
     METHODS,
+    REDUCTION_LEDGER,
     STAGNATION_RTOL,
     SYMMETRIC_REQUIRED_METHODS,
     THETA_MODES,
     TRUNCATION_STRATEGIES,
-    IterationTrace,
     SolveResult,
     SolverConfig,
     TraceRecorder,
@@ -67,49 +68,15 @@ __all__ = [
     "REDUCTION_LEDGER",
     "SolverConfig",
     "SolveResult",
-    "IterationTrace",
     "TraceRow",
     "solve",
     "check_operator",
-    "prescale_operator",
     "estimate_sigma",
     "stabilized_m_update",
     "truncation_window",
 ]
 
-# Per-iteration reduction-phase constants (blocking, overlappable) and the
-# work each overlappable phase hides behind.  Initial rows, restart rows,
-# and breakdown rows are flagged in the trace and may add one blocking
-# refill phase (the naive variant's flush rows add none).  A GMRES cycle
-# that ends early on its first column, right after a full cycle, adds two:
-# the previous cycle's residual refill, which its first row carries, and
-# its own.
-REDUCTION_LEDGER: dict[str, tuple[int, int, frozenset]] = {
-    "pcg": (2, 0, frozenset()),
-    "cgcg": (1, 0, frozenset()),
-    "pipecg": (0, 1, frozenset({"pc", "spmv"})),
-    "fcg": (2, 0, frozenset()),
-    "cgfcg": (1, 0, frozenset()),
-    "pipefcg_naive": (0, 1, frozenset({"pc", "spmv", "local"})),
-    "pipefcg": (0, 1, frozenset({"pc", "spmv", "local"})),
-    "gcr": (2, 0, frozenset()),
-    "pcr": (2, 0, frozenset()),
-    "pipegcr": (0, 1, frozenset({"pc", "local"})),
-    "pipegcr_w": (0, 1, frozenset({"pc", "spmv", "local"})),
-    "fgmres": (2, 0, frozenset()),
-    "cgfgmres": (1, 0, frozenset()),
-    "pipefgmres": (0, 1, frozenset({"pc", "spmv"})),
-}
-
 _DRIVERS = {**_windowed.DRIVERS, **_gmres.DRIVERS}
-
-
-def prescale_operator(A: SparseOperator) -> SparseOperator:
-    """Symmetric Jacobi scaling D^-1/2 A D^-1/2, as ``solve`` applies it
-    when ``cfg.prescale`` is set; build a preconditioner that depends on
-    A from this operator.  It is :attr:`SparseOperator.scaled`, built once
-    per operator, so every call returns the same operator."""
-    return A.scaled
 
 
 def check_operator(cfg: SolverConfig, A: SparseOperator) -> None:
@@ -135,9 +102,9 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     iteration when ``cfg.sigma_auto_power`` > 0.
 
     With ``cfg.prescale`` the system is symmetrically Jacobi-scaled
-    first; B then applies in the scaled space (build it from
-    :func:`prescale_operator` when it depends on A) and the trace reports
-    scaled residuals, while the returned iterate is mapped back.
+    first; B then applies in the scaled space (build it from ``A.scaled``
+    when it depends on A) and the trace reports scaled residuals, while
+    the returned iterate is mapped back.
 
     The CG and FCG families and ``pcr`` additionally assume B is linear
     and symmetric positive definite.  This is not checked, and a
@@ -163,7 +130,7 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     unscale = None
     A_run, b_run, x0_run, x_true_run = A, b, x0, x_true
     if cfg.prescale:
-        A_run = prescale_operator(A)
+        A_run = A.scaled
         isq = 1.0 / np.sqrt(A.diagonal())
         b_run = b * isq
         x0_run = x0 / isq

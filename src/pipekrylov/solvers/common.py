@@ -24,10 +24,10 @@ __all__ = [
     "CR_FAMILY",
     "GMRES_FAMILY",
     "SYMMETRIC_REQUIRED_METHODS",
+    "REDUCTION_LEDGER",
     "STAGNATION_RTOL",
     "SolverConfig",
     "TraceRow",
-    "IterationTrace",
     "SolveResult",
     "truncation_window",
     "stabilized_m_update",
@@ -42,6 +42,34 @@ FCG_FAMILY = ("fcg", "cgfcg", "pipefcg_naive", "pipefcg")
 CR_FAMILY = ("gcr", "pcr", "pipegcr", "pipegcr_w")
 GMRES_FAMILY = ("fgmres", "cgfgmres", "pipefgmres")
 METHODS = CG_FAMILY + FCG_FAMILY + CR_FAMILY + GMRES_FAMILY
+
+# Per-iteration reduction-phase constants (blocking, overlappable) and the
+# work each overlappable phase hides behind; every row of a method after
+# row 0 carries them.  Initial rows, restart rows, and breakdown rows are
+# flagged in the trace and may add one blocking refill phase (the naive
+# variant's flush rows add none).  A GMRES cycle that ends early on its
+# first column, right after a full cycle, adds two: the previous cycle's
+# residual refill, which its first row carries, and its own.  Unflagged
+# rows add one blocking phase in two cases: ``theta_mode="exact"`` in
+# ``pipefcg``, ``pipegcr`` and ``pipegcr_w`` (every row), and a
+# ``cgfgmres`` or ``pipefgmres`` cycle's first column whose Pythagorean
+# remainder is rounding, whose norm is then reduced explicitly.
+REDUCTION_LEDGER: dict[str, tuple[int, int, frozenset]] = {
+    "pcg": (2, 0, frozenset()),
+    "cgcg": (1, 0, frozenset()),
+    "pipecg": (0, 1, frozenset({"pc", "spmv"})),
+    "fcg": (2, 0, frozenset()),
+    "cgfcg": (1, 0, frozenset()),
+    "pipefcg_naive": (0, 1, frozenset({"pc", "spmv", "local"})),
+    "pipefcg": (0, 1, frozenset({"pc", "spmv", "local"})),
+    "gcr": (2, 0, frozenset()),
+    "pcr": (2, 0, frozenset()),
+    "pipegcr": (0, 1, frozenset({"pc", "local"})),
+    "pipegcr_w": (0, 1, frozenset({"pc", "spmv", "local"})),
+    "fgmres": (2, 0, frozenset()),
+    "cgfgmres": (1, 0, frozenset()),
+    "pipefgmres": (0, 1, frozenset({"pc", "spmv"})),
+}
 
 # Methods whose recurrences assume a symmetric operator (positive definite
 # for the CG and FCG families, possibly indefinite for the CR family).
@@ -139,32 +167,6 @@ class TraceRow:
     restarted: bool = False
 
 
-class IterationTrace:
-    """Ordered per-iteration records, row 0 being the initial state."""
-
-    def __init__(self):
-        self.rows: list[TraceRow] = []
-
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, idx):
-        return self.rows[idx]
-
-    def natural_history(self) -> np.ndarray:
-        return np.array([row.rnorm_natural for row in self.rows])
-
-    def true_history(self) -> np.ndarray:
-        return np.array([np.nan if row.rnorm_true is None else row.rnorm_true
-                         for row in self.rows])
-
-
 @dataclass
 class SolveResult:
     """Outcome of a solve.  ``stop_reason`` is one of ``rtol``, ``atol``
@@ -175,7 +177,7 @@ class SolveResult:
     converged: bool
     iterations: int
     stop_reason: str
-    trace: IterationTrace
+    trace: list[TraceRow]
 
 
 def truncation_window(i: int, numax: int, strategy: str) -> int:
@@ -332,7 +334,7 @@ class TraceRecorder:
         self._x_true_norm = norm2(x_true) if x_true is not None else None
         self._monitor = monitor_true
         self._observer = observer
-        self.trace = IterationTrace()
+        self.trace: list[TraceRow] = []     # row 0 is the initial state
         self.last_x: Optional[np.ndarray] = None
 
     @property
@@ -381,19 +383,21 @@ class Driver:
     Stagnation: the best natural norm fails to improve by STAGNATION_RTOL
     relative over ``stagnation_window`` consecutive iterations (0 disables).
     Breakdown recovery: a restart is allowed only if the best natural norm
-    strictly improved since the previous restart.  A row after a refill
-    adds one blocking phase to the method's per-row reduction-phase
-    constants.  Methods rebind the iterate and never change it in place:
-    the recorder keeps a reference to the last one logged.
+    strictly improved since the previous restart.  Every row after row 0
+    logs the method's per-row reduction-phase constants, read from
+    ``REDUCTION_LEDGER``; ``exact_theta`` adds the blocking phase of the
+    exact stabilized update, and a row after a refill, or whose step
+    reports an extra phase, adds one more.  Methods rebind the iterate
+    and never change it in place: the recorder keeps a reference to the
+    last one logged.
     """
 
-    def __init__(self, cfg: SolverConfig, rec: TraceRecorder, blocking: int,
-                 overlapped: int, tags: frozenset):
+    def __init__(self, cfg: SolverConfig, rec: TraceRecorder,
+                 exact_theta: bool = False):
         self.cfg = cfg
         self.rec = rec
-        self.blocking = blocking
-        self.overlapped = overlapped
-        self.tags = tags
+        self.blocking, self.overlapped, self.tags = REDUCTION_LEDGER[cfg.method]
+        self.blocking += exact_theta
 
     def run(self, x: np.ndarray, refill: Callable, step: Callable,
             formed: Callable = lambda x: x):
@@ -439,12 +443,13 @@ class Driver:
 
     def _accept(self, i, x, natural, nu, state: dict,
                 direction: Optional[dict] = None,
-                breakdown=False, restarted=False, fills_cycle=False):
+                breakdown=False, restarted=False, fills_cycle=False, extra=0):
         """Log an accepted row; returns ``(x, stop_reason or None)``.
         ``fills_cycle`` marks the row that fills a restart cycle: the state
         is refilled after it with no row of its own, the next row carries
-        that refill, and an exact or non-finite refill ends the run here."""
-        self._log(i, x, natural, nu, 0, breakdown,
+        that refill, and an exact or non-finite refill ends the run here.
+        ``extra`` counts blocking phases the step added to the method's."""
+        self._log(i, x, natural, nu, extra, breakdown,
                   restarted or self._carried, state)
         if direction is not None:
             self.rec.observe("direction", i, **direction)
@@ -480,10 +485,10 @@ class Driver:
             return x, self._reached
         return x, self._stagnated(natural) if restart else UNRECOVERABLE
 
-    def _log(self, i, x, natural, nu, refills, breakdown, restarted, state):
-        refills += self._carried
+    def _log(self, i, x, natural, nu, extra, breakdown, restarted, state):
+        extra += self._carried
         self._carried = False
-        self.rec.log(i, x, natural, nu, self.blocking + refills, self.overlapped,
+        self.rec.log(i, x, natural, nu, self.blocking + extra, self.overlapped,
                      self.tags, breakdown=breakdown, restarted=restarted)
         self.rec.observe("state", i, x=x, **state)
 

@@ -27,7 +27,14 @@ the back substitution of the triangular system, of order <= restart_len.
   dots and the norm of the reduced column form two blocking phases.
 * ``cgfgmres``: the projection and the squared norm of z batch into one
   blocking phase, with the new column norm obtained from a Pythagorean
-  identity; the shift sigma keeps that identity well conditioned.
+  identity; the shift sigma keeps that identity well conditioned.  On
+  the first column of a cycle a remainder <z, z> - |h|^2 below
+  ``ROUNDED_REMAINDER``·eps·<z, z> is rounding, of either sign: z lies
+  along V[0], as for b on the identity.  A failed identity could not
+  progress there (the iterate of no accepted column is the cycle's
+  start), so that column takes the reduced column's norm, as ``fgmres``
+  does, in one more blocking phase.  It is built from fresh products in
+  all three variants, so its rotated norm is the true one.
 * ``pipefgmres``: the same fused reduction made overlappable by recurring
   U and A·U (the third column) one iteration ahead: one product over the
   rows before k gives row k.  The others keep only the newest A·U[k-1].
@@ -45,9 +52,12 @@ from functools import partial
 import numpy as np
 
 from ..linalg import blocks, dot, maxpy, mdot, norm2, stacked_maxpy
-from .common import NO_TAGS, Driver
+from .common import Driver
 
-PIPEFGMRES_TAGS = frozenset({"pc", "spmv"})
+EPS = float(np.finfo(np.float64).eps)
+# a remainder <z, z> - |h|^2 below this many eps·<z, z> is rounding: the
+# rounding of the two reductions is a few eps·<z, z>
+ROUNDED_REMAINDER = 64
 
 
 class _LeastSquares:
@@ -146,14 +156,18 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
         j = k + 1
         hb = mdot(V[:j], z)                     # reduction phase 1
         coeffs = -hb
+        explicit = not fused
         if fused:
-            t = dot(z, z) - float(hb @ hb)      # batched into phase 1
-            failed = not (t >= 0.0 and math.isfinite(t))
-            hsub = 0.0 if failed else math.sqrt(t)
-        else:
+            zz = dot(z, z)                      # batched into phase 1
+            t = zz - float(hb @ hb)
+            # a first column whose remainder is rounding (see above)
+            explicit = k == 0 and t < ROUNDED_REMAINDER * EPS * zz
+        failed = not (explicit or t >= 0.0 and math.isfinite(t))
+        if explicit:
             zbar = maxpy(z, coeffs, V[:j])
             hsub = norm2(zbar)                  # blocking phase 2
-            failed = False
+        else:
+            hsub = 0.0 if failed else math.sqrt(t)
         d = 0.0
         if not failed:
             col = hb.tolist()
@@ -170,12 +184,10 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
         # a row that reads no iterate logs the last one formed
         if eager:
             x = ls.iterate(x_cycle, U, k)
-        return x, (natural, k, {}, None, False, False, k == mlen)
+        # a fused method's explicit norm is one more blocking phase
+        return x, (natural, k, {}, None, False, False, k == mlen, explicit and fused)
 
-    if pipelined:
-        drv = Driver(cfg, rec, 0, 1, PIPEFGMRES_TAGS)
-    else:
-        drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
+    drv = Driver(cfg, rec)
     if eager:
         # every row already holds the iterate of the accepted columns
         return drv.run(x0.copy(), refill, step)

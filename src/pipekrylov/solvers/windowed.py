@@ -65,7 +65,6 @@ from functools import partial
 
 from ..linalg import dot, norm2
 from .common import (
-    NO_TAGS,
     DirectionWindow,
     Driver,
     accepted_row,
@@ -73,10 +72,6 @@ from .common import (
     positive,
     stabilized_m_update,
 )
-
-PIPECG_TAGS = frozenset({"pc", "spmv"})
-PIPELINED_TAGS = frozenset({"pc", "spmv", "local"})
-PIPEGCR_TAGS = frozenset({"pc", "local"})
 
 
 def _reduced(nat2: float, gamma: float, eta: float):
@@ -210,12 +205,7 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
             return x, None
         return x, accepted_row(gamma, nu, r, u, p, s, eta)
 
-    if pipelined:
-        blocking = 1 if theta_mode == "exact" else 0
-        tags = PIPECG_TAGS if short else PIPELINED_TAGS if recur_w else PIPEGCR_TAGS
-        drv = Driver(cfg, rec, blocking, 1, tags)
-    else:
-        drv = Driver(cfg, rec, 1 if fused else 2, 0, NO_TAGS)
+    drv = Driver(cfg, rec, exact_theta=pipelined and theta_mode == "exact")
     return drv.run(x0.copy(), refill, step)
 
 

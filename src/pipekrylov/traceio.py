@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Optional, Sequence, TextIO, Union, get_type_hints
 
 from .perfmodel import IterationCost
-from .solvers import IterationTrace, TraceRow
+from .solvers import TraceRow
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -99,24 +99,21 @@ def _comment_lines(path: str) -> list[str]:
                 if line.lstrip().startswith("#")]
 
 
-def write_trace_csv(target: Union[str, TextIO], trace: IterationTrace) -> None:
+def write_trace_csv(target: Union[str, TextIO], trace: Sequence[TraceRow]) -> None:
     lines = [",".join(TRACE_COLUMNS)]
     lines.extend(",".join(_row_fields(row)) for row in trace)
     _write_lines(target, lines)
 
 
-def read_trace_csv(path: str) -> IterationTrace:
+def read_trace_csv(path: str) -> list[TraceRow]:
     rows = _data_rows(path)
     if not rows or rows[0] != list(TRACE_COLUMNS):
         raise ValueError(f"{path!r} does not start with the trace header")
-    trace = IterationTrace()
-    for fields in rows[1:]:
-        trace.append(_parse_row(fields))
-    return trace
+    return [_parse_row(fields) for fields in rows[1:]]
 
 
 def write_compare_csv(target: Union[str, TextIO],
-                      runs: Sequence[tuple[str, IterationTrace]]) -> None:
+                      runs: Sequence[tuple[str, Sequence[TraceRow]]]) -> None:
     """Long-format trace table: a method column plus the trace columns."""
     lines = [",".join(("method",) + TRACE_COLUMNS)]
     for method, trace in runs:
@@ -125,15 +122,15 @@ def write_compare_csv(target: Union[str, TextIO],
     _write_lines(target, lines)
 
 
-def read_compare_csv(path: str) -> list[tuple[str, IterationTrace]]:
+def read_compare_csv(path: str) -> list[tuple[str, list[TraceRow]]]:
     rows = _data_rows(path)
     if not rows or rows[0] != ["method"] + list(TRACE_COLUMNS):
         raise ValueError(f"{path!r} does not start with the comparison header")
-    runs: list[tuple[str, IterationTrace]] = []
+    runs: list[tuple[str, list[TraceRow]]] = []
     for fields in rows[1:]:
         method = fields[0]
         if not runs or runs[-1][0] != method:
-            runs.append((method, IterationTrace()))
+            runs.append((method, []))
         runs[-1][1].append(_parse_row(fields[1:]))
     return runs
 

@@ -20,9 +20,10 @@ from pipekrylov.cli import main
 from pipekrylov.perfmodel import CostModelParams, MachineSpec
 from pipekrylov.preconditioners import JacobiPreconditioner
 from pipekrylov.problems import make_sinker
-from pipekrylov.solvers import IterationTrace, SolveResult, SolverConfig, prescale_operator, solve
+from pipekrylov.solvers import SolveResult, SolverConfig, solve
 from pipekrylov.cli import _exit_code
 from pipekrylov.traceio import (
+    PERFMODEL_COLUMNS,
     read_compare_csv,
     read_perfmodel_csv,
     read_trace_csv,
@@ -78,7 +79,7 @@ def test_solve_prescale_matches_the_library(tmp_path, capsys):
     capsys.readouterr()
     prob = make_sinker(8, 100.0)
     cfg = SolverConfig(method="pcg", rtol=1e-8, max_it=200, prescale=True)
-    res = solve(cfg, prob.A, JacobiPreconditioner(prescale_operator(prob.A)),
+    res = solve(cfg, prob.A, JacobiPreconditioner(prob.A.scaled),
                 prob.b, x_true=prob.x_true)
     expected = io.StringIO()
     write_trace_csv(expected, res.trace)
@@ -165,7 +166,7 @@ def test_strict_iteration_limit_is_exit_two(capsys):
 def test_breakdown_is_exit_two_regardless_of_strict():
     failed = SolveResult(x_final=np.zeros(1), converged=False, iterations=3,
                          stop_reason="breakdown_unrecoverable",
-                         trace=IterationTrace())
+                         trace=[])
     assert _exit_code(failed, strict=False) == 2
     assert _exit_code(failed, strict=True) == 2
 
@@ -281,6 +282,16 @@ def test_module_entry_point_runs(tmp_path):
     assert read_trace_csv(out)[0].iter == 0
 
 
+def test_module_entry_point_prints_the_cost_table():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pipekrylov", "perfmodel", "--nodes", "1024"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ",".join(PERFMODEL_COLUMNS)
+    assert lines[1].startswith("1024,")
+
+
 def test_no_command_loads_scipy_linalg_or_a_second_blas():
     # a GMRES cycle back-substitutes its triangular system on floats, so
     # no solve imports scipy.linalg, whose import maps a second OpenBLAS;
@@ -391,7 +402,7 @@ def test_every_solver_config_field_is_an_option(command, source, tmp_path, monke
     def fake_solve(cfg, A, B, b, **kwargs):
         configs.append(cfg)
         return SolveResult(x_final=np.zeros_like(b), converged=True, iterations=0,
-                           stop_reason="rtol", trace=IterationTrace())
+                           stop_reason="rtol", trace=[])
 
     monkeypatch.setattr(cli, "solve", fake_solve)
     argv = [command, "--problem", "poisson2d", "--n", "4",

@@ -39,12 +39,17 @@ from pipekrylov.solvers import (
     solve,
 )
 from pipekrylov.solvers import gmres as gmres_module
+from pipekrylov.solvers.common import TraceRecorder
 from pipekrylov.solvers.gmres import _LeastSquares
 from pipekrylov.traceio import write_trace_csv
 
 from conftest import collector, random_spd
 
 STOP_REASONS = ("rtol", "atol", "max_it", "stagnation", "breakdown_unrecoverable")
+
+
+def _natural(res) -> np.ndarray:
+    return np.array([row.rnorm_natural for row in res.trace])
 
 
 def _solve(method: str, A, B, b, **kwargs):
@@ -55,11 +60,16 @@ def _solve(method: str, A, B, b, **kwargs):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_identity_system_converges_immediately(method):
-    prob = make_identity(20)
-    res = _solve(method, prob.A, IdentityPreconditioner(), prob.b)
-    assert res.converged
-    assert res.iterations <= 2
-    assert norm2(res.x_final - prob.x_true) <= 1e-14
+    """b spans a one-dimensional Krylov space, so the first direction
+    solves the system: a happy breakdown that ends with rtol.  In the fused
+    GMRES methods the Pythagorean remainder of the first column rounds to
+    -eps <z, z> at n = 2, 3 and 11 and to -2 eps <z, z> at n = 7."""
+    for n in (1, 2, 3, 7, 11, 20):
+        prob = make_identity(n)
+        for pc in (IdentityPreconditioner(), JacobiPreconditioner(prob.A)):
+            res = _solve(method, prob.A, pc, prob.b)
+            assert (res.stop_reason, res.iterations) == ("rtol", 1), n
+            assert norm2(res.x_final - prob.x_true) <= 1e-14
 
 
 @pytest.mark.parametrize("method", ["pcg", "fcg", "gcr", "fgmres", "pipefcg"])
@@ -90,8 +100,8 @@ def test_fcg_with_unit_window_reduces_to_cg(poisson16):
     cg = _solve("pcg", poisson16.A, B, poisson16.b, rtol=1e-30, max_it=25)
     fcg = _solve("fcg", poisson16.A, B, poisson16.b, rtol=1e-30, max_it=25,
                  numax=1, truncation="standard")
-    ref = cg.trace.natural_history()
-    dev = np.abs(fcg.trace.natural_history() - ref) / ref
+    ref = _natural(cg)
+    dev = np.abs(_natural(fcg) - ref) / ref
     assert float(dev.max()) <= 1e-10
 
 
@@ -100,7 +110,7 @@ def test_minimal_residual_histories_never_increase(poisson16):
     for method in ("gcr", "fgmres"):
         res = _solve(method, poisson16.A, B, poisson16.b, rtol=1e-30, max_it=30,
                      restart_len=30)
-        hist = res.trace.true_history()
+        hist = np.array([row.rnorm_true for row in res.trace])
         assert np.all(np.diff(hist) <= 1e-12 * hist[0])
 
 
@@ -204,8 +214,7 @@ def _bare_and_eager(method, A, make_pc, b, x_true, **kwargs):
 def _assert_same_run(bare, eager):
     assert bare.x_final.tobytes() == eager.x_final.tobytes()
     assert (bare.iterations, bare.stop_reason) == (eager.iterations, eager.stop_reason)
-    assert (bare.trace.natural_history().tobytes()
-            == eager.trace.natural_history().tobytes())
+    assert _natural(bare).tobytes() == _natural(eager).tobytes()
 
 
 # case -> (preconditioner builder, SolverConfig overrides, stop reason)
@@ -294,7 +303,7 @@ def test_gmres_family_properties(system, method, restart_len, max_it, sigma, jac
     # within a cycle a Givens rotation scales the residual tail by
     # |sn| <= 1; only a row with a refilled residual, flagged restarted or
     # breakdown, may raise the natural norm
-    rows = eager.trace.rows
+    rows = eager.trace
     for prev, row in zip(rows, rows[1:]):
         assert row.restarted or row.breakdown or row.rnorm_natural <= prev.rnorm_natural
     _assert_same_run(bare, eager)
@@ -439,6 +448,34 @@ def test_nonpositive_initial_delta_flags_row_zero(method):
     assert len(res.trace) == 1 and res.trace[0].breakdown
 
 
+@pytest.mark.parametrize("b", [np.ones(8), np.array([3.0, 1.0] * 4)],
+                         ids=["ones", "3131"])
+@pytest.mark.parametrize("method", GMRES_FAMILY)
+def test_gmres_past_a_full_krylov_space_returns_a_true_solution(method, b):
+    """Past n columns the new basis vector is rounding, and pipefgmres
+    recurs its images; a Pythagorean remainder that rounds to zero there
+    is no happy breakdown.  Read as one, pipefgmres on b = ones would stop
+    with rtol at a true relative residual of 4.2."""
+    res = _solve(method, INDEFINITE, IdentityPreconditioner(), b, max_it=50)
+    assert res.stop_reason == "rtol"
+    assert norm2(b - INDEFINITE.apply(res.x_final)) <= 1e-12 * norm2(b)
+
+
+@pytest.mark.parametrize("method", ["cgfgmres", "pipefgmres"])
+def test_rounded_first_column_takes_the_reduced_norm(method):
+    """On the identity the first column's Pythagorean remainder is
+    rounding; the column takes the reduced column's norm in one more
+    blocking phase, on a row that is not flagged, and ends the run."""
+    prob = make_identity(7)
+    res = _solve(method, prob.A, IdentityPreconditioner(), prob.b)
+    blocking, overlapped, tags = REDUCTION_LEDGER[method]
+    row = res.trace[1]
+    assert (row.red_blocking, row.red_overlapped) == (blocking + 1, overlapped)
+    assert row.overlap_tags == tags
+    assert not (row.breakdown or row.restarted)
+    assert res.stop_reason == "rtol" and row.rnorm_natural <= 1e-15
+
+
 def _breakdown_runs():
     """Runs that reach a breakdown or restart row in each of the methods,
     as (method, result, stagnation window)."""
@@ -471,7 +508,7 @@ def _stagnation_row(natural, window):
 
 
 def _assert_stagnation_policy(res, window):
-    row = _stagnation_row(res.trace.natural_history(), window)
+    row = _stagnation_row(_natural(res), window)
     if res.stop_reason == "stagnation":
         assert row == res.iterations
     else:
@@ -555,6 +592,88 @@ def test_non_finite_input_is_rejected(arg, value, poisson8):
     with pytest.raises(ValueError, match="NaN or inf"):
         solve(SolverConfig(method="pcg"), poisson8.A, IdentityPreconditioner(),
               vectors["b"], x0=vectors["x0"], x_true=vectors["x_true"])
+
+
+@pytest.mark.parametrize("arg", ["b", "x0", "x_true"])
+def test_vector_of_the_wrong_length_is_rejected(arg, poisson8):
+    vectors = {"b": poisson8.b, "x0": None, "x_true": None}
+    vectors[arg] = np.ones(63)
+    with pytest.raises(ValueError, match="length"):
+        solve(SolverConfig(method="pcg"), poisson8.A, IdentityPreconditioner(),
+              vectors["b"], x0=vectors["x0"], x_true=vectors["x_true"])
+
+
+class _InfFromCall(Preconditioner):
+    """Jacobi whose image holds inf in its first entry from the chosen
+    (1-based) call on."""
+
+    def __init__(self, A, call: int):
+        self._inner = JacobiPreconditioner(A)
+        self._call = call
+        self._count = 0
+
+    def apply(self, r):
+        self._count += 1
+        u = self._inner.apply(r)
+        if self._count >= self._call:
+            u[0] = np.inf
+        return u
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_image_ends_the_run_with_a_finite_iterate(method, poisson8):
+    """Once the preconditioner's image is not finite, each method's guards
+    (the breakdown path's refill, the GMRES and naive refills) end the run
+    on its last finite iterate."""
+    with np.errstate(all="ignore"):
+        res = solve(SolverConfig(method=method, max_it=100), poisson8.A,
+                    _InfFromCall(poisson8.A, 5), poisson8.b, x_true=poisson8.x_true)
+    assert res.stop_reason == "breakdown_unrecoverable" and not res.converged
+    assert res.iterations >= 4
+    assert np.isfinite(res.x_final).all()
+    for row in res.trace:
+        assert np.isfinite([row.rnorm_natural, row.rnorm_true, row.relerr]).all()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_overflowing_initial_residual_returns_the_initial_guess(method, poisson8):
+    """|b - A x0| overflows, so row 0 cannot be logged: the recorder's
+    FloatingPointError reaches ``solve``, which reports the breakdown with
+    an empty trace and x0."""
+    x0 = np.full(64, 1e308)
+    with np.errstate(all="ignore"):
+        res = solve(SolverConfig(method=method), poisson8.A,
+                    JacobiPreconditioner(poisson8.A), poisson8.b, x0=x0)
+    assert (res.stop_reason, res.iterations, res.trace) == (
+        "breakdown_unrecoverable", 0, [])
+    assert res.x_final.tobytes() == x0.tobytes()
+
+
+class _Tiny(Preconditioner):
+    def apply(self, r):
+        return r * 1e-200
+
+
+# what overflows -> (x0, x_true, monitored, preconditioner builder)
+NON_FINITE_DIAGNOSTICS = {
+    # sqrt(<B r, r>) stays finite while |r|^2 overflows
+    "true residual": (np.full(64, -1e200), None, True, lambda A: _Tiny()),
+    "relative error": (None, np.full(64, 1e200), False, JacobiPreconditioner),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_DIAGNOSTICS)
+def test_non_finite_diagnostic_is_a_breakdown(case, poisson8):
+    x0, x_true, monitored, make_pc = NON_FINITE_DIAGNOSTICS[case]
+    with np.errstate(all="ignore"):
+        rec = TraceRecorder(poisson8.A, poisson8.b, x_true, monitored)
+        with pytest.raises(FloatingPointError, match=case):
+            rec.log(0, np.zeros(64) if x0 is None else x0, 1.0, 0, 0, 0, frozenset())
+        res = solve(SolverConfig(method="pcg", monitor_true_residual=monitored),
+                    poisson8.A, make_pc(poisson8.A), poisson8.b, x0=x0, x_true=x_true)
+    assert rec.trace == []
+    assert (res.stop_reason, res.iterations, res.trace) == (
+        "breakdown_unrecoverable", 0, [])
 
 
 def test_stagnation_detection_fires_on_an_unreachable_tolerance(poisson16):

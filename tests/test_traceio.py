@@ -13,7 +13,7 @@ import pytest
 from pipekrylov.perfmodel import CostModelParams, MachineSpec, sweep
 from pipekrylov.preconditioners import JacobiPreconditioner, NoisyPreconditioner
 from pipekrylov.problems import make_poisson, make_sinker
-from pipekrylov.solvers import IterationTrace, SolverConfig, TraceRow, solve
+from pipekrylov.solvers import SolverConfig, TraceRow, solve
 from pipekrylov.traceio import (
     PERFMODEL_COLUMNS,
     TRACE_COLUMNS,
@@ -26,7 +26,7 @@ from pipekrylov.traceio import (
 )
 
 
-def _trace_with_edge_cases() -> IterationTrace:
+def _trace_with_edge_cases() -> list[TraceRow]:
     """A real solver trace plus hand rows exercising every optional field."""
     prob = make_poisson(2, 6, seed=0)
     res = solve(SolverConfig(method="pipefcg", rtol=1e-10, max_it=40,

@@ -49,7 +49,7 @@ from pipekrylov.preconditioners import (
     NoisyPreconditioner,
     Preconditioner,
 )
-from pipekrylov.problems import make_poisson, make_sinker, make_toy_diagonal
+from pipekrylov.problems import make_identity, make_poisson, make_sinker, make_toy_diagonal
 from pipekrylov.rng import SplitMix64
 from pipekrylov.solvers import METHODS, SolverConfig, solve
 from pipekrylov.traceio import write_trace_csv
@@ -70,6 +70,11 @@ def _poisson(pc):
 def _noisy_toy():
     prob = make_toy_diagonal(100, 5.0)
     return prob.A, lambda: NoisyPreconditioner(1e-2, seed=7), prob.b, prob.x_true
+
+
+def _identity():
+    prob = make_identity(7)
+    return prob.A, lambda: JacobiPreconditioner(prob.A), prob.b, prob.x_true
 
 
 def _sinker():
@@ -154,6 +159,10 @@ CASES = {
     # an operator of its own cut from the Poisson operator
     "block-jacobi-4": (lambda: _poisson(lambda A: BlockJacobiPreconditioner(A, n_blocks=4)),
                        {}),
+    # b spans a one-dimensional Krylov space: every method stops on row 1,
+    # the fused GMRES methods on a first column whose Pythagorean
+    # remainder rounds below zero
+    "identity-7": (_identity, {}),
 }
 
 
