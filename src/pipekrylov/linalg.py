@@ -34,8 +34,13 @@ kernel, which streams no column indices, on one given by its diagonals.
 The operators derived from one, its Jacobi scaling ``scaled`` and its
 blocks ``principal_submatrix``, keep its form.  One given by its
 diagonals derives its CSR arrays (``dia_tocsr``) only when something first
-reads them, so that building it forms no CSR arrays, transpose or
-difference that a solve does not read.  The two products agree bit for
+reads them, and counts its entries (``nnz``) likewise, so that building it
+forms no CSR arrays, transpose or difference and reads its diagonals for
+nothing that a solve does not read.  ``from_diagonals`` copies the values
+it is given into a store of the operator's own; the problem builders,
+``scaled`` and ``principal_submatrix`` fill such a store (``_mapped``)
+themselves and hand it over without a copy (``SparseOperator._adopt``),
+and ``as_general`` shares it.  The two products agree bit for
 bit on finite input: both sum each row in ascending column order from +0,
 and a zero of the DIA form adds ±0 to a partial sum that is never −0.  On
 a non-finite input 0·inf can put a NaN in a row that the CSR product
@@ -51,6 +56,7 @@ import mmap
 import os
 import sys
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -247,17 +253,22 @@ def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
         cols = np.arange(A.n_cols)
         # the row of each place; the places outside the operator hold zeros
         rows = np.clip(cols - offsets[:, None], 0, A.n_rows - 1)
+        m = _mapped(*a.shape)
     else:
         a, cols = A.data, A.indices
         rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
-    m = isq[rows] * a * isq[cols]
+        m = np.empty(len(a))
+    np.multiply(isq[rows], a, out=m)
+    m *= isq[cols]
     if A.symmetric:
         m += isq[cols] * a * isq[rows]
-    keep = m != 0.0
+    if A._diagonals is not None:
+        if A.symmetric:
+            m *= 0.5
+        return SparseOperator._adopt(offsets, m, symmetric=A.symmetric)
+    keep = m != 0.0                           # before the halving can round an entry to zero
     if A.symmetric:
         m *= 0.5
-    if A._diagonals is not None:
-        return SparseOperator.from_diagonals(offsets, m, symmetric=A.symmetric)
     indptr = np.concatenate(([0], np.cumsum(keep)))[A.indptr]
     return SparseOperator(A.n_rows, A.n_cols, indptr, cols[keep], m[keep],
                           symmetric=A.symmetric)
@@ -282,7 +293,7 @@ class SparseOperator:
     inf or NaN the diagonal form can return NaN in more rows.  The
     Jacobi-scaled operator ``scaled`` and the blocks ``principal_submatrix``
     cuts are built in the same form; ``scaled`` is built on first use and
-    kept.
+    kept.  ``nnz`` of one built by its diagonals is counted on first read.
     """
 
     def __init__(self, n_rows: int, n_cols: int, indptr, indices, data,
@@ -324,11 +335,11 @@ class SparseOperator:
             if self.symmetry_error() != 0.0:
                 raise ValueError("operator flagged symmetric is not symmetric")
 
-    def _setup(self, n_rows: int, n_cols: int, symmetric: bool, nnz: int) -> None:
+    def _setup(self, n_rows: int, n_cols: int, symmetric: bool, nnz: Optional[int]) -> None:
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.symmetric = bool(symmetric)
-        self.nnz = int(nnz)
+        self._nnz = nnz                       # None until counted (the diagonal form)
         self._matvec = None                   # the product kernel, bound by the builder
         self._arrays = None                   # (indptr, indices, data)
         self._diagonals = None                # the diagonal form (offsets, values)
@@ -342,23 +353,35 @@ class SparseOperator:
         ``values`` of shape ``(len(offsets), n)``.  Offsets must be
         strictly ascending and inside (-n, n), and the places of a row of
         ``values`` that its diagonal does not reach must hold zero.  The
-        values are copied; zeros are not stored entries.
-        ``symmetric=True`` is checked exactly, each diagonal against its
-        mirror, as ``symmetry_error`` would read them."""
-        offsets = _index_array(offsets)
+        values are copied into a store of the operator's own; zeros are
+        not stored entries.  ``symmetric=True`` is checked exactly, each
+        diagonal against its mirror, as ``symmetry_error`` would read
+        them."""
         given = np.asarray(values, dtype=np.float64)
-        if offsets.ndim != 1 or given.ndim != 2 or given.shape[0] != len(offsets):
-            raise ValueError(f"values must have shape (len(offsets), n), not {given.shape} "
+        store = given
+        if given.ndim == 2:
+            store = _mapped(*given.shape)
+            store[...] = given
+        return cls._adopt(offsets, store, symmetric)
+
+    @classmethod
+    def _adopt(cls, offsets, values: np.ndarray, symmetric: bool = False) -> "SparseOperator":
+        """``from_diagonals`` on a store the operator keeps without a copy:
+        a ``_mapped`` array that its caller filled and writes no more (the
+        problem builders, ``scaled``, ``principal_submatrix`` and
+        ``as_general``).  The one validation path of every operator built by
+        its diagonals; the entry count is taken on first read."""
+        offsets = _index_array(offsets)
+        if offsets.ndim != 1 or values.ndim != 2 or values.shape[0] != len(offsets):
+            raise ValueError(f"values must have shape (len(offsets), n), not {values.shape} "
                              f"for {len(offsets)} offsets")
-        n = given.shape[1]
+        n = values.shape[1]
         if n <= 0:
             raise ValueError("operator dimensions must be positive")
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("offsets must be strictly ascending")
         if len(offsets) and (offsets[0] <= -n or offsets[-1] >= n):
             raise ValueError("diagonal offset out of range")
-        values = _mapped(len(offsets), n)
-        values[...] = given
         if not np.all(np.isfinite(values)):
             raise ValueError("operator entries must be finite")
         diagonals = offsets.tolist()
@@ -379,7 +402,7 @@ class SparseOperator:
                     raise ValueError("operator flagged symmetric is not symmetric")
         offsets = offsets.astype(index_dtype(n), copy=False)
         op = cls.__new__(cls)
-        op._setup(n, n, symmetric, np.count_nonzero(values))
+        op._setup(n, n, symmetric, None)
         op._matvec = partial(sparsetools.dia_matvec, n, n, len(offsets), n, offsets, values)
         op._diagonals = offsets, values
         return op
@@ -410,6 +433,14 @@ class SparseOperator:
     @property
     def shape(self) -> tuple[int, int]:
         return self.n_rows, self.n_cols
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries; for an operator built by its diagonals, their
+        nonzeros, counted on first read."""
+        if self._nnz is None:
+            self._nnz = int(np.count_nonzero(self._diagonals[1]))
+        return self._nnz
 
     def _csr_arrays(self):
         """(indptr, indices, data); for an operator built from diagonals,
@@ -476,19 +507,21 @@ class SparseOperator:
         if self._diagonals is not None:
             offsets, values = self._diagonals
             inside = np.abs(offsets) < m
-            block = values[inside, lo:hi]
+            block = _mapped(np.count_nonzero(inside), m)
+            np.compress(inside, values[:, lo:hi], axis=0, out=block)
             # zero the places whose row, column - offset, falls outside the block
             rows = np.arange(m) - offsets[inside, None]
             block[(rows < 0) | (rows >= m)] = 0.0
-            return SparseOperator.from_diagonals(offsets[inside], block)
+            return SparseOperator._adopt(offsets[inside], block)
         indptr, indices, data = sparsetools.get_csr_submatrix(
             self.n_rows, self.n_cols, self.indptr, self.indices, self.data, lo, hi, lo, hi)
         return SparseOperator(m, m, indptr, indices, data)
 
     def as_general(self) -> "SparseOperator":
-        """The same operator, in the same form, without the symmetric flag."""
+        """The same operator, in the same form, without the symmetric flag;
+        one built by its diagonals shares their store."""
         if self._diagonals is not None:
-            return SparseOperator.from_diagonals(*self._diagonals)
+            return SparseOperator._adopt(*self._diagonals)
         return SparseOperator(self.n_rows, self.n_cols, *self._arrays)
 
     def apply(self, x: np.ndarray) -> np.ndarray:

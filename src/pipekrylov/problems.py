@@ -3,10 +3,13 @@
 Every generator is a pure function of its arguments (plus an explicit
 seed where randomness is involved), so identical calls yield bitwise
 identical instances.  Each operator is a structured-grid stencil or a
-diagonal, so each builder computes its diagonals and hands them to
-``SparseOperator.from_diagonals``: the operator multiplies through them
-from the start and derives its compressed-row arrays only if something
-reads them.  No builder calls a sparse kernel itself.
+diagonal, so each builder writes its diagonals straight into the store
+that the operator keeps (``linalg._mapped``) and hands that store over
+without a copy (``SparseOperator._adopt``, which checks it as
+``from_diagonals`` checks the arrays it copies): the operator multiplies
+through them from the start, and counts its entries and derives its
+compressed-row arrays only if something reads them.  No builder calls a
+sparse kernel itself.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SparseOperator
+from .linalg import SparseOperator, _mapped
 from .rng import SplitMix64
 
 __all__ = [
@@ -37,15 +40,18 @@ class ProblemInstance:
     label: str
 
 
-def _diagonal_operator(values: np.ndarray) -> SparseOperator:
-    return SparseOperator.from_diagonals([0], values[None, :], symmetric=True)
+def _diagonal_operator(n: int, main) -> SparseOperator:
+    """The n x n diagonal operator whose main diagonal holds ``main``."""
+    values = _mapped(1, n)
+    values[0] = main
+    return SparseOperator._adopt([0], values, symmetric=True)
 
 
 def make_identity(n: int) -> ProblemInstance:
     """Identity system; every method converges in a single iteration."""
     if n < 1:
         raise ValueError("identity problem needs n >= 1")
-    A = _diagonal_operator(np.ones(n))
+    A = _diagonal_operator(n, 1.0)
     b = np.full(n, 1.0 / np.sqrt(n))
     return ProblemInstance(A, b, b.copy(), f"identity(n={n})")
 
@@ -61,7 +67,7 @@ def make_toy_diagonal(n: int, cond: float) -> ProblemInstance:
     if not (math.isfinite(cond) and cond > 1.0):
         raise ValueError("condition number cond must be finite and exceed 1")
     lam = 1.0 + (cond - 1.0) * np.arange(n, dtype=np.float64) / (n - 1)
-    A = _diagonal_operator(lam)
+    A = _diagonal_operator(n, lam)
     b = np.full(n, 1.0 / np.sqrt(n))
     x_true = b / lam
     return ProblemInstance(A, b, x_true, f"toy-diag(n={n},cond={cond:g})")
@@ -90,7 +96,7 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
     strides = [n ** axis for axis in range(dims)]
     offsets = [-s for s in reversed(strides)] + [0] + strides
     # the DIA layout: values[k, j] is the entry (j - offsets[k], j)
-    values = np.zeros((len(offsets), N))
+    values = _mapped(len(offsets), N)
     values[dims] = 2.0 * dims
     for axis, stride in enumerate(strides):
         lower, upper = values[dims - 1 - axis], values[dims + 1 + axis]
@@ -99,7 +105,7 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
         lower[:] = -1.0
         lower.reshape(-1, n, stride)[:, n - 1] = 0.0
         upper[stride:] = lower[:N - stride]
-    op = SparseOperator.from_diagonals(offsets, values, symmetric=True)
+    op = SparseOperator._adopt(offsets, values, symmetric=True)
     x_true = SplitMix64(seed).uniform01(N)
     # the DIA product gives the bits of scipy's ``csr @ x_true`` (see linalg)
     b = op.apply(x_true)
@@ -130,7 +136,7 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
     N = n * n
     lines = np.arange(n)
     offsets = [-n, -1, 0, 1, n]
-    values = np.zeros((len(offsets), N))
+    values = _mapped(len(offsets), N)
     diag = np.zeros((n, n))
     # the four faces in a fixed order, so each diagonal sum rounds the same;
     # the neighbour across face (di, dj) lies on diagonal di·n + dj
@@ -147,7 +153,7 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
         # the DIA layout: the entry (row, column) sits at values[k, column]
         values[offsets.index(di * n + dj), (ii * n + jj)[interior]] = -c[interior]
     values[offsets.index(0)] = diag.ravel()
-    op = SparseOperator.from_diagonals(offsets, values, symmetric=True)
+    op = SparseOperator._adopt(offsets, values, symmetric=True)
     b = inside.astype(np.float64).ravel()
     return ProblemInstance(op, b, None,
                            f"sinker(n={n},contrast={contrast:g})")

@@ -439,7 +439,8 @@ class Driver:
             # drop the row's vectors, so the next step frees each old
             # vector as it replaces it
             del row
-        return formed(x), stop == self._reached, i, stop or "max_it"
+        # a step that ends the run on a non-finite refill logs no row
+        return formed(x), stop == self._reached, self.rec.trace[-1].iter, stop or "max_it"
 
     def _accept(self, i, x, natural, nu, state: dict,
                 direction: Optional[dict] = None,

@@ -263,11 +263,11 @@ def test_perfmodel_rejects_nonpositive_nodes(capsys):
 def test_repeated_commands_are_byte_identical(tmp_path, capsys):
     argv = _solve_argv(problem="sinker", n="8", contrast="100",
                        solver="pipegcr", pc="block-jacobi", rtol="1e-6")
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert main(argv + ["--out", a]) == 0
-    assert main(argv + ["--out", b]) == 0
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_module_entry_point_runs(tmp_path):

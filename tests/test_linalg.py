@@ -511,8 +511,11 @@ def test_from_diagonals_reads_signed_zeros_as_symmetry_error_does(offsets, value
 def test_from_diagonals_copies_its_values():
     values = np.array([[1.0, 2.0]])
     A = SparseOperator.from_diagonals([0], values)
+    y = A.apply(np.ones(2))
+    assert not np.shares_memory(A._diagonals[1], values)
     values[0, 0] = 7.0
     assert A.diagonal().tolist() == [1.0, 2.0]
+    assert A.apply(np.ones(2)).tobytes() == y.tobytes() and A.data.tolist() == [1.0, 2.0]
 
 
 @st.composite
@@ -560,6 +563,40 @@ def test_operator_from_diagonals_equals_scipys_dia_to_csr_bytewise(case):
     else:
         with pytest.raises(ValueError, match="not symmetric"):
             SparseOperator.from_diagonals(offsets, values, symmetric=True)
+
+
+@pytest.mark.parametrize("build", [lambda: make_poisson(2, 9).A, lambda: make_poisson(3, 6).A,
+                                   lambda: make_sinker(16, 1e3).A,
+                                   lambda: make_poisson(3, 6).A.scaled,
+                                   lambda: make_sinker(16, 1e6).A.scaled,
+                                   _nonsymmetric_tridiagonal])
+@pytest.mark.parametrize("lo,hi", [(0, 1), (3, 5), (0, 36), (7, 40), (1, 201), (0, 216)])
+def test_principal_submatrix_is_scipys_slice_bytewise(build, lo, hi):
+    A = build()
+    hi = min(hi, A.n_rows)
+    ref = A.csr[lo:hi, lo:hi].tocsr()
+    block = A.principal_submatrix(lo, hi)
+    assert same_csr(block, ref) and block.nnz == ref.nnz
+    x = np.random.default_rng(hi).standard_normal(hi - lo)
+    assert block.apply(x).tobytes() == ref.dot(x).tobytes()
+
+
+@pytest.mark.parametrize("build", [lambda: make_poisson(2, 9).A, lambda: make_poisson(3, 6).A,
+                                   lambda: make_sinker(16, 1e3).A, lambda: make_identity(5).A,
+                                   lambda: make_poisson(2, 9).A.scaled,
+                                   _nonsymmetric_tridiagonal, _random_nonsymmetric])
+def test_as_general_is_the_same_operator_without_the_flag(build):
+    A = build()
+    G = A.as_general()
+    assert not G.symmetric and G.shape == A.shape
+    # the diagonal form shares the store that nothing writes after the build
+    if A._diagonals is not None:
+        assert np.shares_memory(G._diagonals[1], A._diagonals[1])
+    x = np.random.default_rng(A.n_cols).standard_normal(A.n_cols)
+    assert G.apply(x).tobytes() == A.apply(x).tobytes()
+    for got, want in zip((G.indptr, G.indices, G.data), (A.indptr, A.indices, A.data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert G.nnz == A.nnz
 
 
 @pytest.mark.parametrize("lo,hi", [(-1, 2), (2, 2), (3, 2), (0, 5)])

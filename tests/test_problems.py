@@ -290,6 +290,20 @@ def test_builders_hold_the_diagonal_form_scipy_builds_from_csr(build):
         assert built.dtype == want.dtype and built.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("build", [lambda n=n: make_poisson(2, n) for n in (2, 3, 8, 33)]
+                         + [lambda n=n: make_poisson(3, n) for n in (2, 5, 12)]
+                         + [lambda n=n: make_sinker(n, 1e3) for n in (4, 9, 32)]
+                         + [lambda: make_sinker(16, 1.0), lambda: make_identity(1),
+                            lambda: make_identity(7), lambda: make_toy_diagonal(50, 10.0)])
+def test_builders_count_their_entries_on_demand(build):
+    A = build().A
+    # building and forming b count nothing and derive no CSR arrays
+    assert A._nnz is None and A._arrays is None
+    count = A.nnz
+    assert count == len(A.data) == A.indptr[-1] == A.csr.nnz
+    assert count == sp.csr_matrix(A.to_dense()).nnz
+
+
 def test_sinker_validation():
     with pytest.raises(ValueError, match="4 cells"):
         make_sinker(3, 10.0)

@@ -629,10 +629,34 @@ def test_non_finite_image_ends_the_run_with_a_finite_iterate(method, poisson8):
         res = solve(SolverConfig(method=method, max_it=100), poisson8.A,
                     _InfFromCall(poisson8.A, 5), poisson8.b, x_true=poisson8.x_true)
     assert res.stop_reason == "breakdown_unrecoverable" and not res.converged
-    assert res.iterations >= 4
+    # the count is the last row's, also when a non-finite refill ends the
+    # run with no row of its own (pipefcg_naive's last row is 3)
+    assert res.iterations == res.trace[-1].iter >= 3
     assert np.isfinite(res.x_final).all()
     for row in res.trace:
         assert np.isfinite([row.rnorm_natural, row.rnorm_true, row.relerr]).all()
+
+
+class _RaisesFromCall(_InfFromCall):
+    """Jacobi that raises FloatingPointError from the chosen call on, as a
+    preconditioner computing under ``np.errstate(all="raise")`` would."""
+
+    def apply(self, r):
+        u = super().apply(r)
+        if np.isinf(u[0]):
+            raise FloatingPointError("overflow in the preconditioner")
+        return u
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_floating_point_error_counts_the_last_logged_row(method, poisson8):
+    """A FloatingPointError that reaches ``solve`` ends the run as a
+    breakdown whose count is the last logged row's."""
+    res = solve(SolverConfig(method=method, max_it=100), poisson8.A,
+                _RaisesFromCall(poisson8.A, 5), poisson8.b, x_true=poisson8.x_true)
+    assert res.stop_reason == "breakdown_unrecoverable" and not res.converged
+    assert res.iterations == res.trace[-1].iter >= 1
+    assert np.isfinite(res.x_final).all()
 
 
 @pytest.mark.parametrize("method", METHODS)

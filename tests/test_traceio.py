@@ -57,7 +57,8 @@ def test_trace_without_solution_leaves_relerr_empty(tmp_path):
                 JacobiPreconditioner(prob.A), prob.b)
     path = str(tmp_path / "trace.csv")
     write_trace_csv(path, res.trace)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     relerr_col = TRACE_COLUMNS.index("relerr")
     assert all(line.split(",")[relerr_col] == "" for line in lines[1:])
@@ -67,10 +68,10 @@ def test_trace_without_solution_leaves_relerr_empty(tmp_path):
 
 def test_writes_are_byte_deterministic(tmp_path):
     trace = _trace_with_edge_cases()
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_trace_csv(a, trace)
-    write_trace_csv(b, trace)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_trace_csv(str(a), trace)
+    write_trace_csv(str(b), trace)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_write_accepts_open_handles():
@@ -120,7 +121,8 @@ def test_perfmodel_round_trip_keeps_rows_and_notes(tmp_path):
     back, notes = read_perfmodel_csv(path)
     assert back == costs
     assert notes == ["crossover fcg vs pipefcg at nodes=65536"]
-    header = open(path, encoding="utf-8").readline().strip()
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().strip()
     assert header == ",".join(PERFMODEL_COLUMNS)
 
 
