@@ -7,10 +7,11 @@ solver and cost-model options are the fields of ``SolverConfig``,
 ``CostModelParams`` and ``MachineSpec`` with their defaults (``max_it``
 is ``--max-it``, ``nonzeros_per_row`` is ``--nz``, and ``nodes`` comes
 from ``--nodes``), and the dataclasses' checks validate them.  Every
-invalid input raises ``ValueError`` before anything is solved; it is
-reported, like an ``OSError`` from a trace writer, as one ``error:``
-line with exit status 1.  An unrecoverable breakdown, or with
-``--strict`` the iteration limit reached without convergence, exits 2.
+invalid input raises ``ValueError`` before anything is solved; it, an
+``OSError`` from a trace writer and a ``MemoryError`` for a block too
+large to map are each reported as one ``error:`` line with exit status
+1.  An unrecoverable breakdown, or with ``--strict`` the iteration limit
+reached without convergence, exits 2.
 
 The problem builders, ``solve`` and the trace writers are looked up as
 module globals at call time, so that a caller may replace them here.
@@ -418,7 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _, schema, handler = _COMMANDS[ns.command]
     try:
         return handler(_merge(schema, ns))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

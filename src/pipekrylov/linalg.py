@@ -10,8 +10,11 @@ products differently (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and
 product (gemv) each, rounding differently with a different thread count:
 ``mdot`` and ``maxpy`` over the rows of a 2-D block, ``stacked_maxpy``
 over a 3-D ``(rows, columns, n)`` block as one ``(rows, columns·n)``
-matrix, strided views included, without a copy.  ``blocks`` allocates
-a solve's one block, so that earlier frees do not move its peak memory.
+matrix, strided views included, without a copy.  Every array that
+outlives a step, an operator's diagonal store and a solve's direction
+window or GMRES cycle, comes from ``blocks``: an anonymous mapping of its
+own, never the C heap, so what ran before does not move the peak memory
+it adds, and freeing it returns its pages.
 
 ``SparseOperator`` holds plain numpy arrays and runs scipy's compiled
 sparse kernels on them directly: the extension module
@@ -38,7 +41,7 @@ reads them, and counts its entries (``nnz``) likewise, so that building it
 forms no CSR arrays, transpose or difference and reads its diagonals for
 nothing that a solve does not read.  ``from_diagonals`` copies the values
 it is given into a store of the operator's own; the problem builders,
-``scaled`` and ``principal_submatrix`` fill such a store (``_mapped``)
+``scaled`` and ``principal_submatrix`` fill such a store (``blocks``)
 themselves and hand it over without a copy (``SparseOperator._adopt``),
 and ``as_general`` shares it.  The two products agree bit for
 bit on finite input: both sum each row in ascending column order from +0,
@@ -49,9 +52,10 @@ leaves finite.
 
 from __future__ import annotations
 
-import ctypes
+import contextlib
 import importlib.machinery
 import importlib.util
+import math
 import mmap
 import os
 import sys
@@ -158,28 +162,6 @@ def norm2(a: np.ndarray) -> float:
     return float(np.sqrt(np.dot(a, a)))
 
 
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (OSError, AttributeError):             # not glibc: nothing to trim
-    _malloc_trim = None
-
-
-def blocks(rows: int, columns: int, n: int) -> np.ndarray:
-    """One uninitialised ``(rows, columns, n)`` float64 block for one solve.
-
-    A block of a few MB does not fit the holes that earlier work leaves in
-    the C heap.  glibc then either maps it fresh, leaving those freed but
-    resident holes unused, or carves it from the heap, depending on that
-    history, so the peak resident memory of the same solve moved by the
-    size of a block between identical runs.  The heap's free pages go back
-    to the system first (glibc's ``malloc_trim``), so the block adds its
-    own size to the resident set whatever ran before.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-    return np.empty((rows, columns, n))
-
-
 def maxpy(u: np.ndarray, coeffs, vs: np.ndarray) -> np.ndarray:
     """Return u + sum_k coeffs[k]*vs[k] as a new vector, for the rows
     vs[k] of the 2-D block vs, as one stacked product ``u + coeffs @ vs``."""
@@ -218,21 +200,33 @@ def _index_array(values) -> np.ndarray:
     return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
-# a private anonymous mapping, its pages mapped at once where the system
-# can (Linux): filling 3.6 MB took 0.9 ms on a 2-core Xeon, against 1.9 ms
-# in a default (shared) mapping whose pages fault in one by one
-_MAPPING = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
-            if hasattr(mmap, "MAP_POPULATE") else {})
+# numpy's own threshold for advising huge pages on the memory of an array
+_HUGE_PAGES = 4 << 20
+_POPULATE = getattr(mmap, "MAP_POPULATE", 0)   # Linux: map the pages at once
 
 
-def _mapped(rows: int, columns: int) -> np.ndarray:
-    """A zero-filled ``(rows, columns)`` float64 array in an anonymous
-    mapping of its own, for an operator's diagonal form.  Taken from the C
-    heap, the form raised the peak memory of later poisson2d n=128 solves
-    by 0.1 or 0.7 MB between identical runs."""
-    size = rows * columns
-    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1), **_MAPPING), dtype=np.float64,
-                         count=size).reshape(rows, columns)
+def blocks(*shape: int) -> np.ndarray:
+    """A zero-filled float64 array in an anonymous mapping of its own, for
+    every array that outlives a step (see the module docstring).  Below
+    4 MiB its pages are mapped at once where the system can: filling a
+    3.6 MB store took 0.9 ms on a 2-core Xeon, against 1.9 ms faulted in
+    page by page.  From 4 MiB up they are advised huge pages and fault in
+    as written, as in numpy's own arrays; populated small pages made the
+    CR steps on poisson2d n=128 ×1.12 slower.  A block too large to map
+    raises MemoryError, naming its shape and bytes."""
+    size = math.prod(shape)
+    small = 8 * size < _HUGE_PAGES
+    flags = ({"flags": mmap.MAP_PRIVATE | (_POPULATE if small else 0)}
+             if hasattr(mmap, "MAP_PRIVATE") else {})     # not on Windows
+    try:
+        mapping = mmap.mmap(-1, max(8 * size, 1), **flags)
+    except (OSError, OverflowError) as exc:               # no memory; past ssize_t
+        raise MemoryError(f"cannot map a float64 block of shape {shape}: {8 * size} bytes "
+                          f"({exc})") from None
+    if not small and hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):                # a kernel without huge pages
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(mapping, dtype=np.float64, count=size).reshape(shape)
 
 
 def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
@@ -253,7 +247,7 @@ def _jacobi_scaled(A: "SparseOperator") -> "SparseOperator":
         cols = np.arange(A.n_cols)
         # the row of each place; the places outside the operator hold zeros
         rows = np.clip(cols - offsets[:, None], 0, A.n_rows - 1)
-        m = _mapped(*a.shape)
+        m = blocks(*a.shape)
     else:
         a, cols = A.data, A.indices
         rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
@@ -360,14 +354,14 @@ class SparseOperator:
         given = np.asarray(values, dtype=np.float64)
         store = given
         if given.ndim == 2:
-            store = _mapped(*given.shape)
+            store = blocks(*given.shape)
             store[...] = given
         return cls._adopt(offsets, store, symmetric)
 
     @classmethod
     def _adopt(cls, offsets, values: np.ndarray, symmetric: bool = False) -> "SparseOperator":
         """``from_diagonals`` on a store the operator keeps without a copy:
-        a ``_mapped`` array that its caller filled and writes no more (the
+        a ``blocks`` array that its caller filled and writes no more (the
         problem builders, ``scaled``, ``principal_submatrix`` and
         ``as_general``).  The one validation path of every operator built by
         its diagonals; the entry count is taken on first read."""
@@ -507,7 +501,7 @@ class SparseOperator:
         if self._diagonals is not None:
             offsets, values = self._diagonals
             inside = np.abs(offsets) < m
-            block = _mapped(np.count_nonzero(inside), m)
+            block = blocks(np.count_nonzero(inside), m)
             np.compress(inside, values[:, lo:hi], axis=0, out=block)
             # zero the places whose row, column - offset, falls outside the block
             rows = np.arange(m) - offsets[inside, None]

@@ -4,7 +4,7 @@ Every generator is a pure function of its arguments (plus an explicit
 seed where randomness is involved), so identical calls yield bitwise
 identical instances.  Each operator is a structured-grid stencil or a
 diagonal, so each builder writes its diagonals straight into the store
-that the operator keeps (``linalg._mapped``) and hands that store over
+that the operator keeps (``linalg.blocks``) and hands that store over
 without a copy (``SparseOperator._adopt``, which checks it as
 ``from_diagonals`` checks the arrays it copies): the operator multiplies
 through them from the start, and counts its entries and derives its
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SparseOperator, _mapped
+from .linalg import SparseOperator, blocks
 from .rng import SplitMix64
 
 __all__ = [
@@ -42,7 +42,7 @@ class ProblemInstance:
 
 def _diagonal_operator(n: int, main) -> SparseOperator:
     """The n x n diagonal operator whose main diagonal holds ``main``."""
-    values = _mapped(1, n)
+    values = blocks(1, n)
     values[0] = main
     return SparseOperator._adopt([0], values, symmetric=True)
 
@@ -96,7 +96,7 @@ def make_poisson(dims: int, n_per_side: int, seed: int = 0) -> ProblemInstance:
     strides = [n ** axis for axis in range(dims)]
     offsets = [-s for s in reversed(strides)] + [0] + strides
     # the DIA layout: values[k, j] is the entry (j - offsets[k], j)
-    values = _mapped(len(offsets), N)
+    values = blocks(len(offsets), N)
     values[dims] = 2.0 * dims
     for axis, stride in enumerate(strides):
         lower, upper = values[dims - 1 - axis], values[dims + 1 + axis]
@@ -136,7 +136,7 @@ def make_sinker(n_per_side: int, contrast: float) -> ProblemInstance:
     N = n * n
     lines = np.arange(n)
     offsets = [-n, -1, 0, 1, n]
-    values = _mapped(len(offsets), N)
+    values = blocks(len(offsets), N)
     diag = np.zeros((n, n))
     # the four faces in a fixed order, so each diagonal sum rounds the same;
     # the neighbour across face (di, dj) lies on diagonal di·n + dj

@@ -85,7 +85,10 @@ _DRIVERS = {**_windowed.DRIVERS, **_gmres.DRIVERS}
 # many vectors, allocated and freed as a solve starts, makes the heap
 # serve the step's vectors and keep them when freed: without it a fresh
 # process solving 3-D Poisson n=40 with pcg took 128-137 ms per solve
-# against 104-114 ms on a 2-core Xeon.
+# against 104-114 ms on a 2-core Xeon, and the benchmark's poisson3d-large
+# command line ran ×1.19 slower (0 of 6 pairs faster).  It is the only
+# code that steers glibc: every array that outlives a step is a mapping
+# of its own (``linalg.blocks``).
 _HEAP_VECTORS = 8
 
 

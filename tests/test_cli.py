@@ -455,6 +455,13 @@ POISSON = ["--problem", "poisson2d", "--n", "8"]
     (["solve", "--problem", "poisson2d", "--n", "1", "--solver", "pcg"], "points per side"),
     (["solve", "--problem", "sinker", "--n", "2", "--solver", "pcg"], "cells per side"),
     (["solve", "--problem", "identity", "--n", "0", "--solver", "pcg"], "n >= 1"),
+    # windows and cycles beyond any user address space, the last past ssize_t
+    (["solve", *POISSON, "--solver", "fgmres", "--restart-len", str(10 ** 15)],
+     "(1000000000000000, 2, 64)"),
+    (["solve", *POISSON, "--solver", "fcg", "--numax", str(10 ** 15), "--max-it", str(10 ** 15)],
+     "(1000000000000000, 2, 64)"),
+    (["solve", *POISSON, "--solver", "fgmres", "--restart-len", str(10 ** 30)],
+     f"({10 ** 30}, 2, 64)"),
 ])
 def test_invalid_settings_exit_one_before_any_output(argv, setting, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -184,18 +184,56 @@ def _resident_mb() -> float:
     raise OSError("no VmRSS line")
 
 
-def test_blocks_return_the_freed_heap_first():
-    if linalg._malloc_trim is None or not os.path.exists("/proc/self/status"):
-        pytest.skip("needs glibc and /proc")
-    # 48 MiB of 64 KiB heap chunks (below glibc's 128 KiB mmap threshold);
-    # keeping every eighth one, the last included, leaves 42 MiB of freed
-    # but resident holes that trimming the top of the heap cannot reach
-    chunks = [np.ones(8192) for _ in range(768)]
+@pytest.mark.parametrize("shape", [(3, 5), (64, 2, 4096), (3, 2, 100_000), (0, 4), (4, 0, 2)])
+def test_blocks_are_zero_filled_writable_arrays_of_the_shape(shape):
+    # below, at and above the 4 MiB line between populated and huge pages
+    block = blocks(*shape)
+    assert block.shape == shape and block.dtype == np.float64
+    assert block.flags.c_contiguous and block.flags.writeable
+    assert not block.any()
+    block[...] = 1.0
+    assert block.sum() == block.size
+
+
+def test_blocks_too_large_to_map_raise_memory_error_naming_shape_and_bytes():
+    # beyond any user address space, and past ssize_t
+    with pytest.raises(MemoryError, match=r"\(1000000000000000, 2, 64\): 1024000000000000000 "):
+        blocks(10 ** 15, 2, 64)
+    with pytest.raises(MemoryError, match=r"\(10{30}, 2, 64\)"):
+        blocks(10 ** 30, 2, 64)
+
+
+def test_freeing_a_large_block_returns_its_pages():
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc")
+    block = blocks(8, 4, 2 ** 18)              # 64 MiB
+    block[...] = 1.0
     before = _resident_mb()
-    kept = chunks[7::8]
-    del chunks
-    assert blocks(2, 3, 1).shape == (2, 3, 1)
-    assert len(kept) == 96 and _resident_mb() < before - 20.0
+    del block
+    assert _resident_mb() < before - 60.0
+
+
+def test_large_blocks_are_eligible_for_huge_pages():
+    thp = "/sys/kernel/mm/transparent_hugepage/enabled"
+    if not (os.path.exists(thp) and os.path.exists("/proc/self/smaps")):
+        pytest.skip("needs Linux transparent huge pages")
+    with open(thp, encoding="ascii") as f:
+        if "[never]" in f.read():
+            pytest.skip("transparent huge pages are off")
+    block = blocks(2, 2, 2 ** 18)              # 8 MiB
+    block[...] = 1.0
+    address = block.ctypes.data
+    eligible = None
+    with open("/proc/self/smaps", encoding="utf-8", errors="replace") as smaps:
+        inside = False
+        for line in smaps:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                inside = lo <= address < hi
+            elif inside and head == "THPeligible:":
+                eligible = line.split()[1]
+    assert eligible == "1"
 
 
 def _toy_matrix() -> SparseOperator:

@@ -62,8 +62,8 @@ def _indefinite(b):
     return A, IdentityPreconditioner, np.asarray(b, dtype=float), None
 
 
-def _poisson(pc):
-    prob = make_poisson(2, 32, seed=0)
+def _poisson(pc, n=32):
+    prob = make_poisson(2, n, seed=0)
     return prob.A, lambda: pc(prob.A), prob.b, prob.x_true
 
 
@@ -163,6 +163,10 @@ CASES = {
     # the fused GMRES methods on a first column whose Pythagorean
     # remainder rounds below zero
     "identity-7": (_identity, {}),
+    # 32 KiB vectors in windows and cycles of 4-8 MiB, above the line
+    # from which ``linalg.blocks`` advises huge pages
+    "poisson64-wide": (lambda: _poisson(JacobiPreconditioner, 64),
+                       dict(numax=64, restart_len=64, max_it=200)),
 }
 
 
