@@ -10,11 +10,17 @@ products differently (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and
 product (gemv) each, rounding differently with a different thread count:
 ``mdot`` and ``maxpy`` over the rows of a 2-D block, ``stacked_maxpy``
 over a 3-D ``(rows, columns, n)`` block as one ``(rows, columns·n)``
-matrix, strided views included, without a copy.  Every array that
-outlives a step, an operator's diagonal store and a solve's direction
-window or GMRES cycle, comes from ``blocks``: an anonymous mapping of its
-own, never the C heap, so what ran before does not move the peak memory
-it adds, and freeing it returns its pages.
+matrix, strided views included, without a copy; ``stacked_maxpy`` can
+write into a given C-contiguous block that the product does not read,
+such as the next slot of a ring.  Every block of vectors that outlives a
+step, an operator's diagonal store and a solve's direction window, GMRES
+cycle or CG direction columns, comes from ``blocks``: an anonymous
+mapping of its own, never the C heap, so what ran before does not move
+the peak memory it adds, and freeing it returns its pages.  A solve's
+single working vectors are heap arrays, allocated once per solve and
+updated in place; glibc keeps their memory for the next solve.  Only
+real vectors are accepted: complex input raises ValueError rather than
+losing its imaginary part.
 
 ``SparseOperator`` holds plain numpy arrays and runs scipy's compiled
 sparse kernels on them directly: the extension module
@@ -119,8 +125,12 @@ def index_dtype(*sizes: int) -> type:
 
 
 def as_vector(values) -> np.ndarray:
-    """Coerce input to a 1-D float64 array (copying only when needed)."""
-    v = np.asarray(values, dtype=np.float64)
+    """Coerce input to a 1-D float64 array (copying only when needed).
+    Complex input raises ValueError rather than losing its imaginary part."""
+    v = np.asarray(values)
+    if np.iscomplexobj(v):
+        raise ValueError(f"expected a real vector, got dtype {v.dtype}")
+    v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return v
@@ -175,7 +185,8 @@ def stacked_maxpy(heads, coeffs, vs: np.ndarray, out=None) -> np.ndarray:
     """Rows heads[j] + sum_k coeffs[k]*vs[k, j] for every column j of the
     3-D block vs: one product over its ``(rows, columns·n)`` view, then an
     in-place add per head.  The result is a fresh ``(columns, n)`` array,
-    or ``out``, a C-contiguous one that does not overlap vs."""
+    or ``out``, a C-contiguous one that does not overlap vs (ValueError
+    otherwise)."""
     if not (isinstance(vs, np.ndarray) and vs.ndim == 3):
         raise ValueError(f"expected a 3-D block of vectors, got {type(vs).__name__} "
                          f"of shape {np.shape(vs)}")
@@ -186,6 +197,8 @@ def stacked_maxpy(heads, coeffs, vs: np.ndarray, out=None) -> np.ndarray:
         raise ValueError(f"vector length mismatch: {n} vs {[h.shape for h in heads]}")
     if len(coeffs) != rows:
         raise ValueError(f"coefficient/vector count mismatch: {len(coeffs)} vs {rows}")
+    if out is not None and (not out.flags.c_contiguous or np.shares_memory(out, vs)):
+        raise ValueError("out must be C-contiguous and must not overlap the block")
     flat = np.matmul(np.asarray(coeffs, dtype=np.float64), vs.reshape(rows, columns * n),
                      out=None if out is None else out.reshape(columns * n))
     result = flat.reshape(columns, n)
@@ -520,9 +533,12 @@ class SparseOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product y_i = sum_j A_ij x_j, each row summed in
-        ascending column order."""
+        ascending column order, as a new vector; complex x raises
+        ValueError."""
         if x.ndim != 1 or x.shape[0] != self.n_cols:
             raise ValueError(f"operator has {self.n_cols} columns, vector has shape {x.shape}")
+        if np.iscomplexobj(x):
+            raise ValueError(f"expected a real vector, got dtype {x.dtype}")
         y = np.zeros(self.n_rows)
         self._matvec(x, y)
         return y

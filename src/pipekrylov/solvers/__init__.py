@@ -16,9 +16,11 @@ per-row counts of blocking and overlappable reduction phases from
 window-free CG family and ``pcr`` keep their retained directions in one
 :class:`~.common.DirectionWindow`, a ring of ``numax`` slots in one
 block, whose coefficients and new directions are one stacked product
-each.  The minimal-residual step (:mod:`.gmres`) adds one column of a
-restarted cycle; the row that fills a cycle asks the loop to refill
-after it.  It keeps its basis and images side by side in the rows of
+each, the new direction written straight into its slot.  The windowed
+steps allocate their vectors once per solve and update them in place;
+the iterate alternates between two of them.  The minimal-residual step
+(:mod:`.gmres`) adds one column of a restarted cycle; the row that fills
+a cycle asks the loop to refill after it.  It keeps its basis and images side by side in the rows of
 one block and forms the iterate only on rows the recorder reads
 (:attr:`~.common.TraceRecorder.reads_iterate`), before a refill and on
 exit.
@@ -78,16 +80,20 @@ __all__ = [
 
 _DRIVERS = {**_windowed.DRIVERS, **_gmres.DRIVERS}
 
-# A step allocates its vector updates afresh.  glibc serves a request of
+# A step still allocates some n-vectors afresh: the preconditioner's
+# image (the noisy, nested and block-Jacobi applies allocate more inside),
+# each operator product, the GMRES step's vectors, and the windowed
+# steps' direction when its window is the whole ring; the windowed steps
+# update the rest of their vectors in place.  glibc serves a request of
 # 128 KiB or more from a mapping of its own, faulted in page by page,
 # until the free of such a mapping raises its mapping threshold to that
 # size and its trim threshold to twice it.  An unwritten block of this
 # many vectors, allocated and freed as a solve starts, makes the heap
-# serve the step's vectors and keep them when freed: without it a fresh
+# serve those vectors and keep them when freed: without it a fresh
 # process solving 3-D Poisson n=40 with pcg took 128-137 ms per solve
 # against 104-114 ms on a 2-core Xeon, and the benchmark's poisson3d-large
 # command line ran ×1.19 slower (0 of 6 pairs faster).  It is the only
-# code that steers glibc: every array that outlives a step is a mapping
+# code that steers glibc: every block that outlives a step is a mapping
 # of its own (``linalg.blocks``).
 _HEAP_VECTORS = 8
 
@@ -129,7 +135,8 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     if b.shape[0] != A.n_rows:
         raise ValueError(
             f"right-hand side has length {b.shape[0]}, operator has {A.n_rows} rows")
-    x0 = np.zeros_like(b) if x0 is None else as_vector(x0)
+    # the solve's own array, which a driver starts from and may reuse
+    x0 = np.zeros_like(b) if x0 is None else as_vector(x0).copy()
     if x0.shape[0] != A.n_rows:
         raise ValueError("initial guess length does not match the operator")
     if x_true is not None:

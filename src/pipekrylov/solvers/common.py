@@ -227,6 +227,16 @@ class DirectionWindow:
     whole ring or one contiguous run of slots under either rule, and
     ``combine`` is one product over it.  The coefficients run in slot
     order: ``betas``, ``combine`` and ``energy`` index the same slots.
+
+    ``combine`` writes the new direction straight into the slot that
+    ``push`` gives it, which lies outside every window but the whole ring,
+    so that ``push`` only stores the energy.  A window of the whole ring
+    (under ``notay_mod`` once in each ``numax`` entries, under
+    ``standard`` from entry ``numax`` on) still reads that slot: its
+    direction goes to a spare block of the step, as every direction did
+    before, which ``push`` copies into place and lets go.  The spare is
+    not kept for the solve, because the whole-ring step is the one that
+    holds the most vectors.
     """
 
     def __init__(self, cfg: SolverConfig, columns: int, n: int):
@@ -236,15 +246,19 @@ class DirectionWindow:
         self._ring = blocks(slots, columns, n)
         self._eta = np.empty(slots)
         self._built = 0
+        self._spare = None      # the whole-ring combine's direction, until pushed
 
-    def push(self, *entry) -> None:
-        """Store the vectors and the energy of one entry, copying them."""
+    def push(self, eta: float) -> np.ndarray:
+        """Store the energy of the direction ``combine`` formed last, and
+        copy that direction into its slot if it went to a spare block.
+        Returns the slot, for the caller to hold in place of the spare."""
         self._built += 1
         slot = self._built % self._numax
-        *vectors, eta = entry
         self._eta[slot] = eta
-        for col, v in enumerate(vectors):
-            self._ring[slot, col] = v
+        if self._spare is not None:
+            self._ring[slot] = self._spare
+            self._spare = None
+        return self._ring[slot]
 
     def clear(self) -> None:
         self._built = 0
@@ -263,9 +277,18 @@ class DirectionWindow:
         return -mdot(self._ring[rows, 1], v) / self._eta[rows]
 
     def combine(self, betas: np.ndarray, *heads: np.ndarray) -> np.ndarray:
-        """Fresh rows heads[j] + sum_k betas[k] * column_j[k], one per head."""
-        rows = self._slots(len(betas))
-        return stacked_maxpy(heads, betas, self._ring[rows, :len(heads)])
+        """Rows heads[j] + sum_k betas[k] * column_j[k], one per head,
+        written into the leading columns of the next entry's slot (the
+        spare when the window is the whole ring).  Returns that slot's
+        ``(columns, n)`` block, whose further columns the caller fills
+        before ``push``."""
+        nu = len(betas)
+        self._spare = np.empty(self._ring.shape[1:]) if nu == self._numax else None
+        entry = (self._ring[(self._built + 1) % self._numax] if self._spare is None
+                 else self._spare)
+        stacked_maxpy(heads, betas, self._ring[self._slots(nu), :len(heads)],
+                      out=entry[:len(heads)])
+        return entry
 
     def energy(self, betas: np.ndarray) -> float:
         """sum_k betas[k]^2 eta_k, the energy the conjugation removes."""
@@ -273,7 +296,7 @@ class DirectionWindow:
 
 
 def stabilized_m_update(B: Preconditioner, u_tilde: np.ndarray, w: np.ndarray,
-                        r: np.ndarray, mode: str):
+                        r: np.ndarray, mode: str, out: Optional[np.ndarray] = None):
     """Preconditioned image of w for the pipelined flexible methods.
 
     mode "zero" is the naive unrolling B(w); mode "one" projects the
@@ -281,19 +304,25 @@ def stabilized_m_update(B: Preconditioner, u_tilde: np.ndarray, w: np.ndarray,
     "exact" scales the projection by theta = <r, w>/<r, r>, which costs
     two extra blocking dot products and is intended as a diagnostic.
 
-    Returns m.  In exact mode with a zero residual theta is undefined and
-    None is returned, which callers treat as a converged signal.
+    Returns m.  Modes "one" and "exact" form it in ``out`` (a new vector
+    when None; never u_tilde, w or r), which also holds B's argument;
+    mode "zero" returns B's image itself.  In exact mode with a zero
+    residual theta is undefined and None is returned, which callers treat
+    as a converged signal.
     """
     if mode == "zero":
         return B.apply(w)
+    if out is None:
+        out = np.empty_like(w)
     if mode == "one":
-        return u_tilde + B.apply(w - r)
+        return np.add(u_tilde, B.apply(np.subtract(w, r, out=out)), out=out)
     if mode == "exact":
         rr = dot(r, r)
         if rr == 0.0:
             return None
         theta = dot(r, w) / rr
-        return theta * u_tilde + B.apply(w - theta * r)
+        image = B.apply(np.subtract(w, np.multiply(r, theta, out=out), out=out))
+        return np.add(theta * u_tilde, image, out=out)
     raise ValueError(f"unknown theta mode {mode!r}")
 
 
@@ -367,7 +396,8 @@ class TraceRecorder:
         self.trace.append(TraceRow(i, natural, rnorm_true, relerr, nu_used,
                                    red_blocking, red_overlapped, tags,
                                    breakdown, restarted))
-        # a reference, not a copy: drivers rebind x, never update it in place
+        # a reference, not a copy: no driver writes into the array of the
+        # last logged iterate (see Driver)
         self.last_x = x
 
     def observe(self, event: str, i: int, **payload) -> None:
@@ -387,9 +417,11 @@ class Driver:
     logs the method's per-row reduction-phase constants, read from
     ``REDUCTION_LEDGER``; ``exact_theta`` adds the blocking phase of the
     exact stabilized update, and a row after a refill, or whose step
-    reports an extra phase, adds one more.  Methods rebind the iterate
-    and never change it in place: the recorder keeps a reference to the
-    last one logged.
+    reports an extra phase, adds one more.  The recorder keeps a
+    reference to the last iterate logged, so a step returns its new
+    iterate in an array other than the one it was given and never writes
+    into that one: the windowed steps alternate between two buffers of
+    the solve, the GMRES step forms a new array.
     """
 
     def __init__(self, cfg: SolverConfig, rec: TraceRecorder,

@@ -190,9 +190,9 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
     drv = Driver(cfg, rec)
     if eager:
         # every row already holds the iterate of the accepted columns
-        return drv.run(x0.copy(), refill, step)
+        return drv.run(x0, refill, step)
     # the iterate of the cycle's accepted columns, formed on refill and exit
-    return drv.run(x0.copy(), refill, step, lambda x: ls.iterate(x_cycle, U, k))
+    return drv.run(x0, refill, step, lambda x: ls.iterate(x_cycle, U, k))
 
 
 DRIVERS = {

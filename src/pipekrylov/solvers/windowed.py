@@ -63,7 +63,9 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from ..linalg import dot, norm2
+import numpy as np
+
+from ..linalg import blocks, dot, norm2
 from .common import (
     DirectionWindow,
     Driver,
@@ -82,14 +84,32 @@ def _reduced(nat2: float, gamma: float, eta: float):
 
 def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
               recur_w=True, naive=False, short=False):
+    size = len(b)
     width = (4 if recur_w else 3) if pipelined else 2
-    win = None if short else DirectionWindow(cfg, width, len(b))
+    win = None if short else DirectionWindow(cfg, width, size)
     theta_mode = "zero" if naive or short else cfg.theta_mode
     cr = short and residual             # pcr: preconditioned CR, B-inner product
     recur_s = fused or cr               # s recurred, not applied to each p
-    r = u = w = m = n = gamma = delta = nat2 = None
-    # short: gamma, eta and direction columns of the previous step
-    gamma_prev, eta_prev, prev = None, 0.0, None
+    # The vectors of the solve, allocated once and updated in place.  The
+    # iterate alternates between x0, the solve's own, and one more vector,
+    # so that a step never writes into the last one logged (see Driver).
+    # t holds alpha times a direction column; the pipelined methods also
+    # form m in it, which the combination reads before t is needed again.
+    # The operator's images (w, n, and s where it is applied) are new
+    # vectors from A.apply, which the solve owns: a recurred w is updated
+    # in place.  u is B's image of r, copied into a vector of the solve
+    # where it is recurred, since B may hand back an array it keeps; m is
+    # B's own image in the "zero" mode.
+    xs = (x0, np.empty(size))
+    r, t = np.empty(size), np.empty(size)
+    u = np.empty(size) if pipelined else None
+    w = n = None
+    # short: the recurred direction columns, in a block of their own like
+    # a window's ring, and gamma and eta of the previous step, gamma None
+    # after a refill
+    cols = blocks(width if recur_s else 1, size) if short else None
+    m = gamma = delta = nat2 = gamma_prev = None
+    eta_prev = 0.0
 
     def couple(mode):
         """gamma, delta and the pipelined pair for the current r, u and w;
@@ -103,7 +123,7 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         if fused:
             delta = dot(v, w)                   # pipelined, hidden by:
         if pipelined:
-            m = stabilized_m_update(B, u, w, r, mode)
+            m = stabilized_m_update(B, u, w, r, mode, out=t)
             if m is None:
                 return False
             if recur_w:
@@ -111,19 +131,22 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         return True
 
     def refill(x):
-        nonlocal r, u, w, nat2, prev
+        nonlocal u, w, nat2, gamma_prev
         if naive and gamma is not None:
             # the naive variant never resynchronizes: a non-finite scalar
             # ends the run
             return math.nan, False, {}
-        r = b - A.apply(x)
-        u = B.apply(r)
+        np.subtract(b, A.apply(x), out=r)
+        if pipelined:
+            np.copyto(u, B.apply(r))
+        else:
+            u = B.apply(r)
         if fused or residual:
             w = A.apply(u)
         # the CR refill keeps the stabilized m, the FCG and CG refills take B(w)
         couple(theta_mode if residual else "zero")
         if short:
-            prev = None
+            gamma_prev = None
         else:
             win.clear()
         if residual:
@@ -135,27 +158,31 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         return natural_norm(gamma, r), ok, {"r": r, "u": u}
 
     def step(x):
-        nonlocal r, u, w, gamma, nat2, gamma_prev, eta_prev, prev
+        nonlocal u, w, gamma, nat2, gamma_prev, eta_prev
         if cr and not (math.isfinite(gamma) and gamma != 0.0):
             return x, None
         heads = (u, w, m, n)[:width] if recur_s else (u,)
-        if short and prev is None:
-            nu, beta, dirs = 0, 0.0, list(heads)
-        elif short:
-            # Fletcher-Reeves: beta = gamma/gamma_prev, one direction back.
-            # Each column replaces its predecessor as soon as it is formed,
-            # as in p = u + beta p, so that fewer vectors stay live
-            nu, beta, dirs = 1, gamma / gamma_prev, prev
-            for j in range(len(heads)):
-                dirs[j] = heads[j] + beta * dirs[j]
-        else:
+        if not short:
             betas = win.betas(w if residual else u)
             nu = len(betas)
-            dirs = list(win.combine(betas, *heads))     # one per column
-        del heads       # so the old u, w, m and n are freed as they are replaced
-        if not recur_s:
-            dirs.append(A.apply(dirs[0]))
-        p, s = dirs[:2]
+            dirs = win.combine(betas, *heads)
+        elif gamma_prev is None:
+            nu, beta, dirs = 0, 0.0, cols
+            for col, head in zip(dirs, heads):
+                np.copyto(col, head)
+        else:
+            # Fletcher-Reeves: beta = gamma/gamma_prev, one direction back;
+            # each column becomes head + beta * column, as in p = u + beta p
+            nu, beta, dirs = 1, gamma / gamma_prev, cols
+            for col, head in zip(dirs, heads):
+                np.add(head, np.multiply(col, beta, out=col), out=col)
+        p = dirs[0]
+        if recur_s:
+            s = dirs[1]
+        else:
+            s = A.apply(p)
+            if not short:
+                dirs[1] = s                     # the window keeps the image
         if fused:
             eta = delta - (beta * beta * eta_prev if short else win.energy(betas))
         elif cr:
@@ -171,8 +198,9 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         if not (math.isfinite(eta) if naive else positive(eta)):
             return x, None
         alpha = gamma / eta
-        x = x + alpha * p
-        r = r - alpha * s
+        new = xs[1] if x is xs[0] else xs[0]      # not the last logged x
+        x = np.add(x, np.multiply(p, alpha, out=new), out=new)
+        np.subtract(r, np.multiply(s, alpha, out=t), out=r)
         if cr:
             nat2 = dot(r, r)                    # in gamma's phase
         elif residual:
@@ -180,12 +208,17 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
             if nat2 is None:
                 return x, None
         if short:
-            gamma_prev, eta_prev, prev = gamma, eta, dirs if recur_s else dirs[:1]
+            gamma_prev, eta_prev = gamma, eta
         else:
-            win.push(*dirs, eta)
+            # the entry's slot, so that a spare block or an applied s is freed
+            dirs = win.push(eta)
+            p, s = dirs[:2]
         if pipelined:
-            u = u - alpha * dirs[2]
-            w = w - alpha * dirs[3] if recur_w else A.apply(u)
+            np.subtract(u, np.multiply(dirs[2], alpha, out=t), out=u)
+            if recur_w:
+                np.subtract(w, np.multiply(dirs[3], alpha, out=t), out=w)
+            else:
+                w = A.apply(u)
         else:
             u = B.apply(r)
             if fused or residual:
@@ -206,7 +239,7 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
         return x, accepted_row(gamma, nu, r, u, p, s, eta)
 
     drv = Driver(cfg, rec, exact_theta=pipelined and theta_mode == "exact")
-    return drv.run(x0.copy(), refill, step)
+    return drv.run(x0, refill, step)
 
 
 DRIVERS = {

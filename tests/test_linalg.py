@@ -176,6 +176,23 @@ def test_stacked_maxpy_rejects_mismatches():
         stacked_maxpy(heads[:1], [1.0, 2.0], block[:, 0])
 
 
+def test_stacked_maxpy_rejects_an_out_it_reads_or_a_strided_one():
+    # a ring slot inside the window it combines would be overwritten by the
+    # product while the product still reads it
+    rng = np.random.default_rng(10)
+    ring = rng.standard_normal((4, 3, 8))
+    heads = list(rng.standard_normal((2, 8)))
+    cs = rng.standard_normal(3)
+    before = ring.copy()
+    for out in (ring[2, :2], ring[0, 1:], np.empty((2, 16))[:, ::2]):
+        with pytest.raises(ValueError, match="C-contiguous and must not overlap"):
+            stacked_maxpy(heads, cs, ring[:3, :2], out=out)
+    assert np.array_equal(ring, before)
+    # the column of a slot that the window does not read is no overlap
+    got = stacked_maxpy(heads[:1], cs[:2], ring[:2, :1], out=ring[2, 1:2])
+    assert np.array_equal(got, stacked_maxpy(heads[:1], cs[:2], before[:2, :1]))
+
+
 def _resident_mb() -> float:
     with open("/proc/self/status", encoding="ascii") as status:
         for line in status:
@@ -252,6 +269,12 @@ def test_apply_matches_dense_matvec():
 def test_apply_rejects_wrong_length():
     with pytest.raises(ValueError, match="columns"):
         _toy_matrix().apply(np.zeros(4))
+
+
+def test_apply_rejects_complex_input():
+    # scipy's kernel would fail on the float64 output with its own message
+    with pytest.raises(ValueError, match="complex128"):
+        _toy_matrix().apply(np.array([1.0, 2.0, 3.0j]))
 
 
 def test_diagonal_and_frobenius_hand_values():

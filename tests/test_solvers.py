@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,12 +585,15 @@ def test_flagged_rows_add_one_blocking_refill_phase():
 
 
 @pytest.mark.parametrize("arg,value", [("b", np.nan), ("x0", np.inf),
-                                       ("x_true", -np.inf)])
+                                       ("x_true", -np.inf), ("b", 1j), ("x0", 1j),
+                                       ("x_true", 1j)])
 def test_non_finite_input_is_rejected(arg, value, poisson8):
+    """Non-finite input, and complex input, whose imaginary part a solve
+    would drop, fail up front."""
     vectors = {"b": poisson8.b.copy(), "x0": np.zeros(64),
                "x_true": poisson8.x_true.copy()}
-    vectors[arg][3] = value
-    with pytest.raises(ValueError, match="NaN or inf"):
+    vectors[arg] = vectors[arg] + np.where(np.arange(64) == 3, value, 0.0)
+    with pytest.raises(ValueError, match="complex128" if value == 1j else "NaN or inf"):
         solve(SolverConfig(method="pcg"), poisson8.A, IdentityPreconditioner(),
               vectors["b"], x0=vectors["x0"], x_true=vectors["x_true"])
 
@@ -651,12 +655,36 @@ class _RaisesFromCall(_InfFromCall):
 @pytest.mark.parametrize("method", METHODS)
 def test_floating_point_error_counts_the_last_logged_row(method, poisson8):
     """A FloatingPointError that reaches ``solve`` ends the run as a
-    breakdown whose count is the last logged row's."""
+    breakdown whose count and iterate are the last logged row's: no step
+    writes into the array of that iterate."""
+    states = []
     res = solve(SolverConfig(method=method, max_it=100), poisson8.A,
-                _RaisesFromCall(poisson8.A, 5), poisson8.b, x_true=poisson8.x_true)
+                _RaisesFromCall(poisson8.A, 5), poisson8.b, x_true=poisson8.x_true,
+                observer=lambda event, i, payload: event == "state" and states.append(
+                    (i, payload["x"])))
     assert res.stop_reason == "breakdown_unrecoverable" and not res.converged
-    assert res.iterations == res.trace[-1].iter >= 1
-    assert np.isfinite(res.x_final).all()
+    assert res.iterations == res.trace[-1].iter == states[-1][0] >= 1
+    assert res.x_final.tobytes() == states[-1][1].tobytes()
+
+
+@pytest.mark.parametrize("method", ["pipecg", "pipefcg", "pipegcr_w"])
+def test_pipelined_solve_allocates_few_vectors(method):
+    """The steps update the vectors of the solve in place, so the traced
+    peak of a pipelined solve stays below 13 vectors of the system's length
+    (16.5 while every step allocated its updates afresh).  That includes
+    the 8-vector block that ``solve`` allocates and frees first, x0 and the
+    trace rows; the direction window is a mapping of its own, not traced."""
+    prob = make_poisson(2, 128)
+    B = JacobiPreconditioner(prob.A)
+    tracemalloc.start()
+    try:
+        res = solve(SolverConfig(method=method), prob.A, B, prob.b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # long enough for the windowed methods to take two whole-ring steps
+    assert res.converged and res.iterations > 2 * 30
+    assert peak < 13 * prob.b.nbytes
 
 
 @pytest.mark.parametrize("method", METHODS)
