@@ -3,14 +3,24 @@
 Vectors are one-dimensional float64 numpy arrays throughout.  Every
 kernel's accumulation order is independent of the argument order, and
 repeated runs on the same machine with the same BLAS thread count are
-bitwise reproducible.  ``dot`` and ``norm2`` use the BLAS, whose threaded
-sum splits the vector by thread: a different thread count rounds large
-products differently (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and
-``2`` already disagree).  The block kernels are one BLAS matrix-vector
-product (gemv) each, rounding differently with a different thread count:
-``mdot`` and ``maxpy`` over the rows of a 2-D block, ``stacked_maxpy``
-over a 3-D ``(rows, columns, n)`` block as one ``(rows, columns·n)``
-matrix, strided views included, without a copy; ``stacked_maxpy`` can
+bitwise reproducible.  ``dot`` and ``norm2`` take their product (ddot)
+on one BLAS thread, whatever count the process has, and restore the
+count after it: a threaded ddot rounds a long product differently with
+each count (at length 16384, ``OPENBLAS_NUM_THREADS=1`` and ``2``
+disagree), and waking a second thread costs more than the sum it
+splits.  So they keep their bits at any thread count, unless
+``SCALAR_ONE_THREAD`` is false: numpy's OpenBLAS showed no thread-count
+functions, and they run on the process's threads.  The count is
+process-global: solves run at once on several Python threads race on
+it.  The block kernels are one BLAS matrix-vector product (gemv) each,
+on the process's threads.  ``mdot`` (gemv_t, over the rows of a 2-D
+block) rounds differently with a different thread count; it stays
+threaded because it is bound by memory traffic on windows larger than
+the cache (at one thread, ``fgmres``, ``pipefgmres`` and ``gcr`` on 3-D
+Poisson n=40 took ×1.4-1.5 the time per iteration).  ``maxpy`` (over the rows of a 2-D block) and
+``stacked_maxpy`` (over a 3-D ``(rows, columns, n)`` block read as one
+``(rows, columns·n)`` matrix, strided views included, without a copy)
+are gemv_n and keep their bits at any count; ``stacked_maxpy`` can
 write into a given C-contiguous block that the product does not read,
 such as the next slot of a ring.  Every block of vectors that outlives a
 step, an operator's diagonal store and a solve's direction window, GMRES
@@ -59,6 +69,7 @@ leaves finite.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -136,20 +147,75 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
+# (set, get) thread-count symbols of OpenBLAS builds, newest numpy wheels first
+_THREAD_SYMBOLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+                   ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+                   ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+def _blas_thread_control(symbols=_THREAD_SYMBOLS):
+    """(set, get) thread-count functions of the OpenBLAS in numpy.libs,
+    the library numpy loaded, or None where no such library or symbol is
+    found."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libdir) if "openblas" in name)
+    except OSError:                                       # numpy not from a wheel
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libdir, name))
+        except OSError:
+            continue
+        for set_name, get_name in symbols:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+_threads = _blas_thread_control()
+
+# whether ``dot`` and ``norm2`` run on one BLAS thread (see the module docstring)
+SCALAR_ONE_THREAD = _threads is not None
+
+
 def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _ddot(a: np.ndarray, b: np.ndarray):
+    """np.dot(a, b) on one BLAS thread, the process's count restored after
+    it; the one product behind ``dot`` and ``norm2``, so that a tracer
+    wrapping either by name counts each call once.  Reading the count and
+    a set/restore pair cost about 0.8 µs on a 2-core Xeon; at one thread
+    nothing is set."""
+    if _threads is None:
+        return np.dot(a, b)
+    setter, getter = _threads
+    count = getter()
+    if count == 1:
+        return np.dot(a, b)
+    setter(1)
+    try:
+        return np.dot(a, b)
+    finally:
+        setter(count)
+
+
 def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product sum_k a_k*b_k.
+    """Inner product sum_k a_k*b_k, on one BLAS thread.
 
     The accumulation order does not depend on the argument order, so
-    dot(a, b) == dot(b, a) exactly; it does depend on the BLAS thread
-    count.
+    dot(a, b) == dot(b, a) exactly, nor on the BLAS thread count, unless
+    ``SCALAR_ONE_THREAD`` is false.  The count it sets for the call is
+    process-global (see the module docstring).
     """
     _check_same_length(a, b)
-    return float(np.dot(a, b))
+    return float(_ddot(a, b))
 
 
 def _check_block(vs, u: np.ndarray) -> None:
@@ -162,14 +228,17 @@ def _check_block(vs, u: np.ndarray) -> None:
 
 def mdot(vs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inner products <vs[k], u> of every row of the 2-D block vs with u,
-    as one stacked product (the multi-dot of a Gram-Schmidt projection)."""
+    as one stacked product (the multi-dot of a Gram-Schmidt projection),
+    on the process's BLAS threads: its bits depend on their count."""
     _check_block(vs, u)
     return vs @ u
 
 
 def norm2(a: np.ndarray) -> float:
-    """Euclidean norm sqrt(<a, a>)."""
-    return float(np.sqrt(np.dot(a, a)))
+    """Euclidean norm sqrt(<a, a>), its product taken as in ``dot``: on one
+    BLAS thread, with the same bits at any thread count unless
+    ``SCALAR_ONE_THREAD`` is false."""
+    return float(np.sqrt(_ddot(a, a)))
 
 
 def maxpy(u: np.ndarray, coeffs, vs: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ preconditioned-direction update, and shift estimation).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -102,7 +103,10 @@ class SolverConfig:
     preconditioned eigenvalue.  ``theta_mode`` is the stabilized update of
     m in ``pipefcg``, ``pipegcr`` and ``pipegcr_w``; ``pipecg`` and
     ``pipefcg_naive`` always use the unstabilized B(w).
-    ``stagnation_window = 0`` disables stagnation detection.
+    ``stagnation_window = 0`` disables stagnation detection.  The counts
+    ``max_it``, ``numax``, ``restart_len``, ``sigma_auto_power`` and
+    ``stagnation_window`` must be integers (numpy's included), not floats
+    or bools.
     """
 
     method: str
@@ -127,6 +131,11 @@ class SolverConfig:
             raise ValueError("rtol must lie in (0, 1)")
         if not (math.isfinite(self.atol) and self.atol >= 0.0):
             raise ValueError("atol must be finite and nonnegative")
+        for name in ("max_it", "numax", "restart_len", "sigma_auto_power",
+                     "stagnation_window"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.max_it < 1:
             raise ValueError("max_it must be >= 1")
         if self.numax < 1:

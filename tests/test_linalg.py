@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import types
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,90 @@ def test_dot_length_mismatch():
 
 
 def test_norm2_of_3_4_vector_is_5():
+    assert norm2(np.array([3.0, 4.0])) == 5.0
+
+
+class _FakeThreads:
+    """A stand-in for the BLAS thread functions that logs every set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def set(self, count):
+        self.sets.append(count)
+        self.count = count
+
+    def get(self):
+        return self.count
+
+
+@pytest.mark.parametrize("count,sets", [(1, []), (2, [1, 2]), (4, [1, 4])])
+def test_scalar_products_take_one_thread_and_restore_the_count(monkeypatch, count, sets):
+    fake = _FakeThreads(count)
+    monkeypatch.setattr(linalg, "_threads", (fake.set, fake.get))
+    a, b = np.arange(5.0), np.ones(5)
+    assert dot(a, b) == 10.0
+    assert fake.sets == sets and fake.count == count
+    fake.sets.clear()
+    assert norm2(np.array([3.0, 4.0])) == 5.0
+    assert fake.sets == sets and fake.count == count
+    # a product that raises under the lowered count still restores it
+    for call in (lambda: dot(np.zeros((3, 2)), np.zeros(3)), lambda: norm2(np.zeros((2, 3)))):
+        fake.sets.clear()
+        with pytest.raises(ValueError):
+            call()
+        assert fake.sets == sets and fake.count == count
+    fake.sets.clear()
+    with pytest.raises(ValueError, match="mismatch"):
+        dot(np.zeros(3), np.zeros(4))
+    assert fake.count == count
+
+
+@pytest.mark.skipif(not linalg.SCALAR_ONE_THREAD,
+                    reason="numpy's OpenBLAS exposes no thread-count functions")
+def test_scalar_products_leave_the_blas_thread_count_as_they_found_it():
+    setter, getter = linalg._threads
+    before = getter()
+    a, b = np.random.default_rng(5).standard_normal((2, 64000))
+    try:
+        for count in (1, 2):
+            setter(count)
+            dot(a, b)
+            norm2(a)
+            with pytest.raises(ValueError):
+                dot(np.zeros((3, 2)), np.zeros(3))
+            with pytest.raises(ValueError, match="mismatch"):
+                dot(a, b[1:])
+            assert getter() == count
+            setter(1)
+            one = float(np.dot(a, b)), float(np.sqrt(np.dot(a, a)))
+            setter(count)
+            assert (dot(a, b), norm2(a)) == one
+    finally:
+        setter(before)
+
+
+def test_scalar_products_without_thread_functions_are_numpys(monkeypatch):
+    # unknown symbols, or a numpy without a numpy.libs folder, find nothing
+    assert linalg._blas_thread_control((("no_such_set", "no_such_get"),)) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg.os, "listdir", mock.Mock(side_effect=FileNotFoundError))
+        assert linalg._blas_thread_control() is None
+    monkeypatch.setattr(linalg, "_threads", None)
+    a, b = np.random.default_rng(6).standard_normal((2, 64000))
+    assert dot(a, b) == float(np.dot(a, b))
+    assert norm2(a) == float(np.sqrt(np.dot(a, a)))
+
+
+def test_dot_and_norm2_are_plain_functions_and_norm2_does_not_call_dot(monkeypatch):
+    # a tracer replaces both by name in every module that bound them, so a
+    # norm that called the module-level dot would be counted twice
+    for fn, name in ((dot, "dot"), (norm2, "norm2")):
+        assert type(fn) is types.FunctionType
+        assert (fn.__module__, fn.__name__) == ("pipekrylov.linalg", name)
+        assert getattr(linalg, name) is fn
+    monkeypatch.setattr(linalg, "dot", mock.Mock(side_effect=AssertionError("dot called")))
     assert norm2(np.array([3.0, 4.0])) == 5.0
 
 

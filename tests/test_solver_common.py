@@ -195,10 +195,30 @@ def test_config_accepts_hyphenated_method_names(spelling, method, poisson8):
     (dict(method="pcg", sigma_auto_power=-1), "sigma_auto_power"),
     (dict(method="pcg", theta_mode="three"), "theta mode"),
     (dict(method="pcg", stagnation_window=-1), "stagnation_window"),
+    (dict(method="fcg", numax=2.5), "numax"),
+    (dict(method="fcg", max_it=10.5), "max_it"),
+    (dict(method="pcg", max_it=10.0), "max_it"),
+    (dict(method="pcg", max_it=True), "max_it"),
+    (dict(method="fgmres", restart_len=3.5), "restart_len"),
+    (dict(method="pcg", stagnation_window=2.5), "stagnation_window"),
+    (dict(method="pcg", stagnation_window=False), "stagnation_window"),
+    (dict(method="fgmres", sigma_auto_power=1.5), "sigma_auto_power"),
+    (dict(method="pcg", numax="30"), "numax"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("method", ["pcg", "fcg", "fgmres"])
+def test_config_accepts_numpy_integer_counts(method, poisson8):
+    counts = dict(max_it=40, numax=3, restart_len=4, sigma_auto_power=2, stagnation_window=5)
+    A, b = poisson8.A, poisson8.b
+    given = solve(SolverConfig(method=method, **{k: np.int64(v) for k, v in counts.items()}),
+                  A, JacobiPreconditioner(A), b)
+    plain = solve(SolverConfig(method=method, **counts), A, JacobiPreconditioner(A), b)
+    assert given.iterations == plain.iterations
+    assert given.x_final.tobytes() == plain.x_final.tobytes()
 
 
 def test_solve_rejects_rectangular_operator():

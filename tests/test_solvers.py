@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipekrylov import linalg
 from pipekrylov.linalg import SparseOperator, norm2
 from pipekrylov.preconditioners import (
     BlockJacobiPreconditioner,
@@ -783,6 +787,48 @@ def test_monitoring_can_be_disabled(poisson16):
     res = _solve("pcg", poisson16.A, B, poisson16.b,
                  monitor_true_residual=False, max_it=10, rtol=1e-30)
     assert all(row.rnorm_true is None for row in res.trace)
+
+
+_SCALAR_REDUCTION_METHODS = ("pcg", "cgcg", "pipecg", "pcr")
+
+_SOLVE_TO_FILES = """
+import os, sys
+from pipekrylov import linalg
+from pipekrylov.preconditioners import JacobiPreconditioner
+from pipekrylov.problems import make_poisson
+from pipekrylov.solvers import SolverConfig, solve
+from pipekrylov.traceio import write_trace_csv
+folder, methods = sys.argv[1], sys.argv[2].split(",")
+print(linalg._threads[1]())
+prob = make_poisson(2, 128, seed=0)
+for method in methods:
+    res = solve(SolverConfig(method=method, max_it=2000), prob.A,
+                JacobiPreconditioner(prob.A), prob.b, x_true=prob.x_true, seed=0)
+    write_trace_csv(os.path.join(folder, method + ".csv"), res.trace)
+    with open(os.path.join(folder, method + ".x"), "wb") as handle:
+        handle.write(res.x_final.tobytes())
+"""
+
+
+@pytest.mark.skipif(not linalg.SCALAR_ONE_THREAD,
+                    reason="numpy's OpenBLAS exposes no thread-count functions")
+def test_scalar_reduction_methods_do_not_depend_on_the_thread_count(tmp_path):
+    # 16384-vectors, long enough for OpenBLAS to thread a dot product; the
+    # FCG, CR-window and GMRES methods also call mdot, which it threads
+    methods = ",".join(_SCALAR_REDUCTION_METHODS)
+    outputs = {}
+    for threads in ("1", "2"):
+        folder = tmp_path / threads
+        folder.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_TO_FILES, str(folder), methods],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [threads]
+        outputs[threads] = {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
+    assert len(outputs["1"]) == 2 * len(_SCALAR_REDUCTION_METHODS)
+    for name, data in outputs["1"].items():
+        assert outputs["2"][name] == data, name
 
 
 def test_stateful_noise_still_yields_bitwise_repeatable_runs(poisson16):

@@ -23,8 +23,13 @@ standard output), the ``perfmodel --crossover fcg,pipefcg`` CSV, a
 ``probe`` report and the four subcommands' ``--help`` texts at 80
 columns.
 
-The BLAS thread count can change the rounding of large dot products;
-compare runs made with the same ``OPENBLAS_NUM_THREADS``.  Lines whose
+The BLAS thread count changes the rounding of ``linalg.mdot``, the
+window projection of the FCG, CR-window and GMRES methods, on long
+vectors; ``dot`` and ``norm2`` take one thread (see ``pipekrylov.linalg``),
+and the ``poisson128-scalar`` case runs the methods that use no other
+reduction on vectors long enough for a threaded sum, so its lines must
+not depend on the thread count.  Compare runs made with the same
+``OPENBLAS_NUM_THREADS``.  Lines whose
 solves draw Gaussian noise also depend on numpy's single-precision sine
 and cosine (see ``pipekrylov.rng``), so compare them on one machine and
 numpy build.
@@ -167,7 +172,13 @@ CASES = {
     # from which ``linalg.blocks`` advises huge pages
     "poisson64-wide": (lambda: _poisson(JacobiPreconditioner, 64),
                        dict(numax=64, restart_len=64, max_it=200)),
+    # 128 KiB vectors, long enough for OpenBLAS to thread a dot product;
+    # run only for the methods whose one reduction is ``dot``/``norm2``
+    "poisson128-scalar": (lambda: _poisson(JacobiPreconditioner, 128), {}),
 }
+
+# the methods run on a case, where not every one
+CASE_METHODS = {"poisson128-scalar": ("pcg", "cgcg", "pipecg", "pcr")}
 
 
 def _update_with_event(h, event, i, payload) -> None:
@@ -235,7 +246,7 @@ def cli_digests() -> dict[str, str]:
 
 def main() -> None:
     for case in CASES:
-        for method in METHODS:
+        for method in CASE_METHODS.get(case, METHODS):
             trace, events, bare, iters, reason = digest(case, method)
             print(f"{case} {method} {iters} {reason} trace={trace} events={events} "
                   f"bare={bare}")
