@@ -182,11 +182,6 @@ _threads = _blas_thread_control()
 SCALAR_ONE_THREAD = _threads is not None
 
 
-def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
 def _ddot(a: np.ndarray, b: np.ndarray):
     """np.dot(a, b) on one BLAS thread, the process's count restored after
     it; the one product behind ``dot`` and ``norm2``, so that a tracer
@@ -214,7 +209,9 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     ``SCALAR_ONE_THREAD`` is false.  The count it sets for the call is
     process-global (see the module docstring).
     """
-    _check_same_length(a, b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"vector shape mismatch: {a.shape} vs {b.shape}, not two 1-D vectors "
+                         "of one length")
     return float(_ddot(a, b))
 
 
@@ -222,8 +219,8 @@ def _check_block(vs, u: np.ndarray) -> None:
     if not (isinstance(vs, np.ndarray) and vs.ndim == 2):
         raise ValueError(f"expected a 2-D block of vectors, got {type(vs).__name__} "
                          f"of shape {np.shape(vs)}")
-    if vs.shape[1] != u.shape[0]:
-        raise ValueError(f"vector length mismatch: {vs.shape[1]} vs {u.shape[0]}")
+    if vs.shape[1:] != u.shape:
+        raise ValueError(f"vector length mismatch: {vs.shape[1]} vs a vector of shape {u.shape}")
 
 
 def mdot(vs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -238,6 +235,8 @@ def norm2(a: np.ndarray) -> float:
     """Euclidean norm sqrt(<a, a>), its product taken as in ``dot``: on one
     BLAS thread, with the same bits at any thread count unless
     ``SCALAR_ONE_THREAD`` is false."""
+    if a.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
     return float(np.sqrt(_ddot(a, a)))
 
 

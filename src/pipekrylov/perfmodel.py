@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .names import canonical_name
+from .solvers import REDUCTION_LEDGER
 
 __all__ = [
     "MODEL_METHODS",
@@ -220,9 +221,9 @@ def iteration_cost(method: str, spec: MachineSpec,
                    params: CostModelParams) -> IterationCost:
     """Per-iteration cost split into unhidden work and exposed reductions.
 
-    Pipelined rows subtract the overlapped work (their bracket) from the
-    reduction communication, clamped at zero; standard rows expose every
-    reduction phase in full.
+    Pipelined rows subtract the work their ``REDUCTION_LEDGER`` tags name
+    from the reduction communication, clamped at zero; standard rows
+    expose every reduction phase in full.
     """
     name = canonical_name(method)
     n = local_unknowns(spec, params)
@@ -239,28 +240,31 @@ def iteration_cost(method: str, spec: MachineSpec,
     def rcomm(words: float) -> float:
         return t_red_comm(spec, words)
 
+    def overlapped(words: float) -> float:
+        # the work the ledger's tags name, summed in the fixed order spmv,
+        # pc, local: a frozenset's iteration order follows PYTHONHASHSEED
+        work, tags = {"spmv": spmv, "pc": pc, "local": 2.0 * n * tc}, REDUCTION_LEDGER[name][2]
+        return max(0.0, rcomm(words) - sum(work[t] for t in work if t in tags))
+
     if name == "fcg":
         calc = 2.0 * ax + mx(nu) + (nu + 2.0) * rc + spmv + pc
         red = rcomm(nu + 1.0) + rcomm(1.0)
-    elif name == "pipefcg":
+    elif name in ("pipefcg", "pipegcr_w"):
         calc = 4.0 * ax + 4.0 * mx(nu) + (nu + 2.0) * rc + spmv + pc + 2.0 * n * tc
-        red = max(0.0, rcomm(nu + 2.0) - (spmv + pc + 2.0 * n * tc))
+        red = overlapped(nu + 2.0)
     elif name == "gcr":
         calc = 2.0 * ax + mx(nu) + (nu + 2.0) * rc + spmv + pc
         red = rcomm(nu) + rcomm(2.0)
     elif name == "pipegcr":
         calc = 3.0 * ax + 3.0 * mx(nu) + (nu + 2.0) * rc + spmv + pc + 2.0 * n * tc
-        red = max(0.0, rcomm(nu + 2.0) - (pc + 2.0 * n * tc))
-    elif name == "pipegcr_w":
-        calc = 4.0 * ax + 4.0 * mx(nu) + (nu + 2.0) * rc + spmv + pc + 2.0 * n * tc
-        red = max(0.0, rcomm(nu + 2.0) - (spmv + pc + 2.0 * n * tc))
+        red = overlapped(nu + 2.0)
     elif name == "fgmres":
         calc = mx(nu) + n * tc + (nu + 1.0) * rc + spmv + pc
         red = rcomm(nu) + rcomm(1.0)
     elif name == "pipefgmres":
         calc = (nu * ax + 3.0 * mx(nu) + (nu + 5.0) * n * tc
                 + (nu + 2.0) * rc + spmv + pc)
-        red = max(0.0, rcomm(nu + 2.0) - (spmv + pc))
+        red = overlapped(nu + 2.0)
     else:
         raise ValueError(
             f"unknown cost-model method {method!r}; expected one of {MODEL_METHODS}")

@@ -9,9 +9,8 @@ runs the breakdown path (refill, flagged row, restart or stop) and
 applies the stopping, stagnation and restart policy.  A method supplies
 only its refill and its per-iteration step; the loop reads the method's
 per-row counts of blocking and overlappable reduction phases from
-:data:`~.common.REDUCTION_LEDGER`.  Each family has two switches,
-``fused`` (the reductions batched into one blocking phase) and
-``pipelined`` (that phase made overlappable).  The windowed driver
+:data:`~.common.REDUCTION_LEDGER`, and the method's driver is bound from
+that row and the method's family (:func:`_driver`).  The windowed driver
 (:mod:`.windowed`) runs the CG, FCG and CR families; all but the
 window-free CG family and ``pcr`` keep their retained directions in one
 :class:`~.common.DirectionWindow`, a ring of ``numax`` slots in one
@@ -20,15 +19,16 @@ each, the new direction written straight into its slot.  The windowed
 steps allocate their vectors once per solve and update them in place;
 the iterate alternates between two of them.  The minimal-residual step
 (:mod:`.gmres`) adds one column of a restarted cycle; the row that fills
-a cycle asks the loop to refill after it.  It keeps its basis and images side by side in the rows of
-one block and forms the iterate only on rows the recorder reads
-(:attr:`~.common.TraceRecorder.reads_iterate`), before a refill and on
-exit.
+a cycle asks the loop to refill after it.  It keeps its basis and
+images side by side in the rows of one block and forms the iterate only
+on rows the recorder reads (:attr:`~.common.TraceRecorder.reads_iterate`),
+before a refill and on exit; it estimates its own shift when
+``sigma_auto_power`` is set.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,8 +78,6 @@ __all__ = [
     "truncation_window",
 ]
 
-_DRIVERS = {**_windowed.DRIVERS, **_gmres.DRIVERS}
-
 # A step still allocates some n-vectors afresh: the preconditioner's
 # image (the noisy, nested and block-Jacobi applies allocate more inside),
 # each operator product, the GMRES step's vectors, and the windowed
@@ -96,6 +94,21 @@ _DRIVERS = {**_windowed.DRIVERS, **_gmres.DRIVERS}
 # code that steers glibc: every block that outlives a step is a mapping
 # of its own (``linalg.blocks``).
 _HEAP_VECTORS = 8
+
+
+def _driver(method: str, seed: int) -> Callable:
+    """The driver of a method, bound from its family and ledger row.  One
+    phase per row sets ``fused`` (the reductions batched into one blocking
+    phase), an overlappable phase ``pipelined``, and an overlappable phase
+    that hides ``spmv`` ``recur_w``; the CR family sets ``residual``, and
+    only ``short`` and ``naive`` are named per method."""
+    blocking, overlapped, tags = REDUCTION_LEDGER[method]
+    fused, pipelined = blocking + overlapped == 1, overlapped > 0
+    if method in GMRES_FAMILY:
+        return partial(_gmres.driver, fused=fused, pipelined=pipelined, seed=seed)
+    return partial(_windowed.driver, fused=fused, pipelined=pipelined,
+                   residual=method in CR_FAMILY, recur_w="spmv" in tags,
+                   naive=method == "pipefcg_naive", short=method in CG_FAMILY + ("pcr",))
 
 
 def check_operator(cfg: SolverConfig, A: SparseOperator) -> None:
@@ -125,8 +138,8 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
     when it depends on A) and the trace reports scaled residuals, while
     the returned iterate is mapped back.
 
-    The CG and FCG families and ``pcr`` additionally assume B is linear
-    and symmetric positive definite.  This is not checked, and a
+    ``pcg``, ``cgcg``, ``pipecg`` and ``pcr`` additionally assume B is
+    linear and symmetric positive definite.  This is not checked, and a
     violating preconditioner surfaces as breakdown or stagnation rather
     than an error.
     """
@@ -158,14 +171,10 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
         x_true_run = None if x_true is None else x_true / isq
         unscale = isq
 
-    if cfg.method in ("cgfgmres", "pipefgmres") and cfg.sigma_auto_power > 0:
-        sigma, _ = estimate_sigma(A_run, B, cfg.sigma_auto_power, seed)
-        cfg = dataclasses.replace(cfg, sigma=sigma)
-
     rec = TraceRecorder(A_run, b_run, x_true_run, cfg.monitor_true_residual,
                         observer)
     try:
-        x_run, converged, iterations, reason = _DRIVERS[cfg.method](
+        x_run, converged, iterations, reason = _driver(cfg.method, seed)(
             cfg, A_run, B, b_run, x0_run, rec)
     except FloatingPointError:
         # Non-finite state escaped the per-driver guards; report the last

@@ -46,15 +46,17 @@ METHODS = CG_FAMILY + FCG_FAMILY + CR_FAMILY + GMRES_FAMILY
 
 # Per-iteration reduction-phase constants (blocking, overlappable) and the
 # work each overlappable phase hides behind; every row of a method after
-# row 0 carries them.  Initial rows, restart rows, and breakdown rows are
-# flagged in the trace and may add one blocking refill phase (the naive
-# variant's flush rows add none).  A GMRES cycle that ends early on its
-# first column, right after a full cycle, adds two: the previous cycle's
-# residual refill, which its first row carries, and its own.  Unflagged
-# rows add one blocking phase in two cases: ``theta_mode="exact"`` in
-# ``pipefcg``, ``pipegcr`` and ``pipegcr_w`` (every row), and a
-# ``cgfgmres`` or ``pipefgmres`` cycle's first column whose Pythagorean
-# remainder is rounding, whose norm is then reduced explicitly.
+# row 0 carries them, and each method's driver (``solvers._driver``) and
+# cost (``perfmodel.iteration_cost``) is bound from them.  Initial rows,
+# restart rows, and breakdown rows are flagged in the trace and may add
+# one blocking refill phase (the naive variant's flush rows add none).  A
+# GMRES cycle that ends early on its first column, right after a full
+# cycle, adds two: the previous cycle's residual refill, which its first
+# row carries, and its own.  Unflagged rows add one blocking phase in two
+# cases: ``theta_mode="exact"`` in ``pipefcg``, ``pipegcr`` and
+# ``pipegcr_w`` (every row), and a ``cgfgmres`` or ``pipefgmres`` cycle's
+# first column whose Pythagorean remainder is rounding, whose norm is
+# then reduced explicitly.
 REDUCTION_LEDGER: dict[str, tuple[int, int, frozenset]] = {
     "pcg": (2, 0, frozenset()),
     "cgcg": (1, 0, frozenset()),
@@ -154,7 +156,7 @@ class SolverConfig:
             raise ValueError("stagnation_window must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     """One iteration record.
 

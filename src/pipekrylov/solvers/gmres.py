@@ -47,12 +47,11 @@ non-finite column ends the run.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from ..linalg import blocks, dot, maxpy, mdot, norm2, stacked_maxpy
-from .common import Driver
+from .common import Driver, estimate_sigma
 
 EPS = float(np.finfo(np.float64).eps)
 # a remainder <z, z> - |h|^2 below this many eps·<z, z> is rounding: the
@@ -108,8 +107,11 @@ class _LeastSquares:
         return maxpy(x_cycle, y, U[:k])
 
 
-def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
+def driver(cfg, A, B, b, x0, rec, fused, pipelined, seed):
     sigma = cfg.sigma if fused else 0.0
+    if fused and cfg.sigma_auto_power:
+        # before the first cycle applies B, so a noisy B's draws go here first
+        sigma = estimate_sigma(A, B, cfg.sigma_auto_power, seed)[0]
     mlen = cfg.restart_len
     eager = rec.reads_iterate
     cycle = blocks(mlen, 3 if pipelined else 2, b.shape[0])
@@ -193,10 +195,3 @@ def _gmres(cfg, A, B, b, x0, rec, fused, pipelined):
         return drv.run(x0, refill, step)
     # the iterate of the cycle's accepted columns, formed on refill and exit
     return drv.run(x0, refill, step, lambda x: ls.iterate(x_cycle, U, k))
-
-
-DRIVERS = {
-    "fgmres": partial(_gmres, fused=False, pipelined=False),
-    "cgfgmres": partial(_gmres, fused=True, pipelined=False),
-    "pipefgmres": partial(_gmres, fused=True, pipelined=True),
-}

@@ -30,7 +30,8 @@ step or in the refill:
   accumulate in it.  A zero or non-finite gamma, like a nonpositive eta,
   triggers a restart.
 
-Two switches give the variants of each family:
+Two switches give the variants of each family; ``solve`` binds them, and
+``recur_w``, from the method's ``REDUCTION_LEDGER`` row:
 
 * ``pcg``, ``fcg``, ``gcr``: fresh operator application per direction,
   two blocking phases.  ``gcr`` keeps gamma = <r, A p> from the second
@@ -54,14 +55,13 @@ Two switches give the variants of each family:
   the noise level, the stagnation the stabilized update removes.
 
 ``pcr`` has two blocking phases, like ``pcg``; per step it applies B
-twice, to r and to s, and the operator once.  Like the CG and FCG
-families it assumes a linear SPD B.
+twice, to r and to s, and the operator once.  Like the CG family, and
+unlike the flexible FCG and CR methods, it assumes a linear SPD B.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -82,8 +82,7 @@ def _reduced(nat2: float, gamma: float, eta: float):
     return nat2_new if nat2_new >= 0.0 and math.isfinite(nat2_new) else None
 
 
-def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
-              recur_w=True, naive=False, short=False):
+def driver(cfg, A, B, b, x0, rec, fused, pipelined, residual, recur_w, naive, short):
     size = len(b)
     width = (4 if recur_w else 3) if pipelined else 2
     win = None if short else DirectionWindow(cfg, width, size)
@@ -240,20 +239,3 @@ def _windowed(cfg, A, B, b, x0, rec, fused, pipelined, residual=False,
 
     drv = Driver(cfg, rec, exact_theta=pipelined and theta_mode == "exact")
     return drv.run(x0, refill, step)
-
-
-DRIVERS = {
-    "pcg": partial(_windowed, fused=False, pipelined=False, short=True),
-    "cgcg": partial(_windowed, fused=True, pipelined=False, short=True),
-    "pipecg": partial(_windowed, fused=True, pipelined=True, short=True),
-    "fcg": partial(_windowed, fused=False, pipelined=False),
-    "cgfcg": partial(_windowed, fused=True, pipelined=False),
-    "pipefcg_naive": partial(_windowed, fused=True, pipelined=True, naive=True),
-    "pipefcg": partial(_windowed, fused=True, pipelined=True),
-    "gcr": partial(_windowed, fused=False, pipelined=False, residual=True),
-    "pcr": partial(_windowed, fused=False, pipelined=False, residual=True,
-                   short=True),
-    "pipegcr": partial(_windowed, fused=True, pipelined=True, residual=True,
-                       recur_w=False),
-    "pipegcr_w": partial(_windowed, fused=True, pipelined=True, residual=True),
-}

@@ -250,6 +250,12 @@ def test_perfmodel_crossover_note(tmp_path, capsys):
     assert len(costs) == 2 * 13
 
 
+def test_perfmodel_notes_a_pair_with_no_crossover_in_range(capsys):
+    assert main(["perfmodel", "--methods", "fcg,pipefcg", "--nodes", "1,8",
+                 "--crossover", "fcg,pipefcg"]) == 0
+    assert capsys.readouterr().out.endswith("# no crossover for fcg vs pipefcg in range\n")
+
+
 def test_perfmodel_rejects_bad_crossover_pair(capsys):
     assert main(["perfmodel", "--crossover", "fcg"]) == 1
     assert "exactly two" in capsys.readouterr().err
@@ -462,6 +468,10 @@ POISSON = ["--problem", "poisson2d", "--n", "8"]
      "(1000000000000000, 2, 64)"),
     (["solve", *POISSON, "--solver", "fgmres", "--restart-len", str(10 ** 30)],
      f"({10 ** 30}, 2, 64)"),
+    (["solve", *POISSON, "--solver", "pcg", "--max-it", "ten"], "invalid integer for max_it"),
+    (["solve", *POISSON, "--solver", "pcg", "--prescale", "maybe"], "invalid boolean"),
+    (["perfmodel", "--nodes", " , "], "empty list for nodes"),
+    (["compare", *POISSON, "--methods", ","], "empty method list"),
 ])
 def test_invalid_settings_exit_one_before_any_output(argv, setting, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -502,6 +512,9 @@ def test_unwritable_out_is_one_error_line(command, tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write --out ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    # so is a directory
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write --out {tmp_path}: it is a directory\n"
     # an OSError from the writer takes the same path
     def fail(target, *args):
         raise OSError(f"cannot open {target}")

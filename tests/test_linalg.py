@@ -92,10 +92,12 @@ def test_scalar_products_take_one_thread_and_restore_the_count(monkeypatch, coun
     fake.sets.clear()
     assert norm2(np.array([3.0, 4.0])) == 5.0
     assert fake.sets == sets and fake.count == count
-    # a product that raises under the lowered count still restores it
-    for call in (lambda: dot(np.zeros((3, 2)), np.zeros(3)), lambda: norm2(np.zeros((2, 3)))):
+    # a product that raises under the lowered count still restores it: a
+    # vector of objects passes the checks and fails inside np.dot
+    nones = np.array([None] * 3)
+    for call in (lambda: dot(nones, nones), lambda: norm2(nones)):
         fake.sets.clear()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             call()
         assert fake.sets == sets and fake.count == count
     fake.sets.clear()
@@ -115,8 +117,8 @@ def test_scalar_products_leave_the_blas_thread_count_as_they_found_it():
             setter(count)
             dot(a, b)
             norm2(a)
-            with pytest.raises(ValueError):
-                dot(np.zeros((3, 2)), np.zeros(3))
+            with pytest.raises(TypeError):
+                dot(np.array([None] * 3), np.array([None] * 3))
             with pytest.raises(ValueError, match="mismatch"):
                 dot(a, b[1:])
             assert getter() == count
@@ -198,6 +200,16 @@ def test_block_kernels_reject_mismatches():
         maxpy(u, [1.0, 2.0], vs)
     with pytest.raises(ValueError, match="length mismatch"):
         maxpy(u[:7], [1.0, 2.0, 3.0], vs)
+    # an argument that is not a 1-D vector fails the package's own check
+    for call, match in ((lambda: dot(np.zeros(3), np.zeros((3, 2))), "not two 1-D vectors"),
+                        (lambda: dot(np.zeros((3, 2)), np.zeros(3)), "not two 1-D vectors"),
+                        (lambda: dot(np.zeros((2, 3)), np.zeros((2, 3))), "not two 1-D vectors"),
+                        (lambda: norm2(np.zeros((3, 2))), "1-D vector"),
+                        (lambda: mdot(np.zeros((2, 3)), np.zeros((3, 2))), r"shape \(3, 2\)"),
+                        (lambda: maxpy(np.zeros((3, 8)), [1.0, 2.0, 3.0], vs),
+                         r"shape \(3, 8\)")):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 @pytest.mark.parametrize("columns", [1, 2, 3, 4])
@@ -400,6 +412,20 @@ def test_symmetric_flag_rejects_rectangular():
 def test_malformed_indptr_rejected():
     with pytest.raises(ValueError, match="indptr"):
         SparseOperator(2, 2, [0, 1], [0], [1.0])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SparseOperator(0, 1, [0], [], []), "dimensions must be positive"),
+    (lambda: SparseOperator(1, -1, [0, 0], [], []), "dimensions must be positive"),
+    (lambda: SparseOperator(1, 1, [0, 1], [[0]], [1.0]), "1-D"),
+    (lambda: SparseOperator(1, 1, [0, 1], [0], [[1.0]]), "1-D"),
+    (lambda: SparseOperator(2, 2, [0, 2, 1], [0], [1.0]), "nondecreasing"),
+    (lambda: SparseOperator(1, 2, [0, 2], [0, 1], [1.0]), "length mismatch"),
+    (lambda: SparseOperator.from_dense([1.0, 2.0]), "2-D array"),
+])
+def test_malformed_arrays_are_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_unsorted_columns_rejected():

@@ -155,6 +155,12 @@ def test_cost_params_validation_and_window_average():
         CostModelParams(kavg=1.5)
     with pytest.raises(ValueError, match="numax"):
         CostModelParams(numax=0)
+    with pytest.raises(ValueError, match="nonzeros per row"):
+        CostModelParams(nonzeros_per_row=0.0)
+    with pytest.raises(ValueError, match="restart_len"):
+        CostModelParams(restart_len=0)
+    with pytest.raises(ValueError, match="pc_inner_iters"):
+        CostModelParams(pc_inner_iters=-1)
     assert CostModelParams(numax=30, kavg=0.8).nu_avg == 24.0
 
 

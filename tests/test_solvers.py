@@ -353,19 +353,69 @@ def test_exact_weighting_stops_when_the_residual_vanishes(method):
         assert (row.red_blocking, row.red_overlapped) == (1, 1)
 
 
-@pytest.mark.parametrize("method", ["fcg", "cgfcg", "gcr", "pcr"])
-def test_state_events_carry_the_preconditioned_residual(method, poisson16):
-    B = JacobiPreconditioner(poisson16.A)
+@pytest.mark.parametrize("method", CG_FAMILY + FCG_FAMILY + CR_FAMILY)
+def test_state_events_carry_the_preconditioned_residual(method):
+    """A method whose phases block applies B to each new residual, so a
+    steady row's u is B(r) bit for bit; a pipelined one recurs u, which
+    leaves B(r) in the last bits.  The sinker's diagonal entries are not
+    powers of two, so Jacobi's scaling rounds and the two can differ."""
+    prob = make_sinker(16, 100.0)
+    B = JacobiPreconditioner(prob.A)
     events = []
-    res = solve(SolverConfig(method=method, max_it=200), poisson16.A, B,
-                poisson16.b, observer=collector(events))
-    assert res.converged
+    res = solve(SolverConfig(method=method, max_it=200), prob.A, B, prob.b,
+                observer=collector(events))
     states = [(i, p) for event, i, p in events if event == "state"]
-    accepted = {row.iter for row in res.trace if not row.breakdown}
     assert [i for i, _ in states] == [row.iter for row in res.trace]
-    for i, payload in states:
-        if i in accepted:
-            assert np.array_equal(payload["u"], B.apply(payload["r"])), i
+    flagged = {row.iter for row in res.trace if row.breakdown or row.restarted}
+    fresh = [np.array_equal(p["u"], B.apply(p["r"])) for i, p in states
+             if i and i not in flagged]
+    assert len(fresh) > 10
+    assert all(fresh) == (REDUCTION_LEDGER[method][1] == 0)
+
+
+@pytest.mark.parametrize("method", ["pipecg", "pipefcg_naive", "pipefcg", "pipegcr",
+                                    "pipegcr_w"])
+def test_pipelined_steps_apply_the_operator_to_u_only_in_pipegcr(method):
+    """``pipegcr`` takes w = A u afresh on each row, the one product its
+    reduction does not hide; the other pipelined methods recur w and apply
+    A to m.  With monitoring off, a steady row's only product is that one,
+    between the state events of the row before and the row itself."""
+    prob = make_poisson(2, 16, seed=0)
+    events = []
+    apply = prob.A.apply
+    prob.A.apply = lambda x: events.append(("spmv", None, x.copy())) or apply(x)
+    res = solve(SolverConfig(method=method, monitor_true_residual=False),
+                prob.A, JacobiPreconditioner(prob.A), prob.b,
+                observer=collector(events))
+    assert res.converged
+    flagged = {row.iter for row in res.trace if row.breakdown or row.restarted}
+    spmv, steady = [], 0
+    for event, i, payload in events:
+        if event == "spmv":
+            spmv.append(payload)
+        elif event == "state":
+            if i and i not in flagged:
+                assert len(spmv) == 1, i
+                assert np.array_equal(spmv[0], payload["u"]) == (method == "pipegcr"), i
+                steady += 1
+            spmv = []
+    assert steady > 10
+
+
+@pytest.mark.parametrize("method", ["pcg", "cgcg", "fcg", "cgfcg", "gcr"])
+def test_two_phase_methods_reduce_the_direction_energy_explicitly(method, poisson16):
+    """``pcg``, ``fcg`` and ``gcr`` take eta = <p, s> (<s, s> for ``gcr``)
+    in their second phase; the fused methods recur it from delta and the
+    window's energy, which differs from the product in the last bits."""
+    events = []
+    res = solve(SolverConfig(method=method, stagnation_window=0), poisson16.A,
+                JacobiPreconditioner(poisson16.A), poisson16.b,
+                observer=collector(events))
+    assert res.converged
+    explicit = [p["eta"] == linalg.dot(p["s"] if method == "gcr" else p["p"], p["s"])
+                for event, _, p in events if event == "direction"]
+    assert len(explicit) > 10
+    assert all(explicit) if REDUCTION_LEDGER[method][0] == 2 else not all(explicit)
 
 
 def test_pcr_minimizes_the_preconditioned_residual_norm():

@@ -85,8 +85,9 @@ def test_reader_rejects_a_foreign_header(tmp_path):
     path = str(tmp_path / "bad.csv")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        read_trace_csv(path)
+    for reader in (read_trace_csv, read_compare_csv, read_perfmodel_csv):
+        with pytest.raises(ValueError, match="header"):
+            reader(path)
 
 
 def test_reader_rejects_short_rows(tmp_path):
@@ -95,6 +96,10 @@ def test_reader_rejects_short_rows(tmp_path):
         handle.write(",".join(TRACE_COLUMNS) + "\n1,2\n")
     with pytest.raises(ValueError, match="fields"):
         read_trace_csv(path)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(PERFMODEL_COLUMNS) + "\n1024,fcg,1.0\n")
+    with pytest.raises(ValueError, match="cost row has 3 fields"):
+        read_perfmodel_csv(path)
 
 
 def test_compare_round_trip_groups_by_method(tmp_path):
