@@ -3,27 +3,26 @@
 Fourteen method variants are organized in four families (conjugate
 gradients, flexible conjugate gradients, conjugate residuals, flexible
 minimal residual); :func:`solve` validates the input and dispatches to
-the family driver.  One loop serves all 14 methods,
-:meth:`~.common.Driver.run`: it logs row 0, finishes each accepted row,
-runs the breakdown path (refill, flagged row, restart or stop) and
-applies the stopping, stagnation and restart policy.  A method supplies
-only its refill and its per-iteration step; the loop reads the method's
-per-row counts of blocking and overlappable reduction phases from
-:data:`~.common.REDUCTION_LEDGER`, and the method's driver is bound from
-that row and the method's family (:func:`_driver`).  The windowed driver
-(:mod:`.windowed`) runs the CG, FCG and CR families; all but the
-window-free CG family and ``pcr`` keep their retained directions in one
-:class:`~.common.DirectionWindow`, a ring of ``numax`` slots in one
-block, whose coefficients and new directions are one stacked product
+the family driver.  One run object serves all 14 methods,
+:class:`~.common.TraceRecorder`: its loop logs row 0, finishes each
+accepted row, runs the breakdown path (refill, flagged row, restart or
+stop) and applies the stopping, stagnation and restart policy.  A
+method supplies only its refill and its per-iteration step; the loop
+reads the method's per-row counts of blocking and overlappable reduction
+phases from :data:`~.common.REDUCTION_LEDGER`, and the method's driver
+is bound from that row and the method's family (:func:`_driver`).  The
+windowed driver (:mod:`.windowed`) runs the CG, FCG and CR families; all
+but the window-free CG family and ``pcr`` keep their retained directions
+in one :class:`~.common.DirectionWindow`, a ring of ``numax`` slots in
+one block, whose coefficients and new directions are one stacked product
 each, the new direction written straight into its slot.  The windowed
 steps allocate their vectors once per solve and update them in place;
 the iterate alternates between two of them.  The minimal-residual step
 (:mod:`.gmres`) adds one column of a restarted cycle; the row that fills
 a cycle asks the loop to refill after it.  It keeps its basis and
-images side by side in the rows of one block and forms the iterate only
-on rows the recorder reads (:attr:`~.common.TraceRecorder.reads_iterate`),
-before a refill and on exit; it estimates its own shift when
-``sigma_auto_power`` is set.
+images side by side in the rows of one block and its iterate lazily,
+which the loop forms on the rows that read it, before a refill and on
+exit; it estimates its own shift when ``sigma_auto_power`` is set.
 """
 
 from __future__ import annotations
@@ -87,12 +86,17 @@ __all__ = [
 # until the free of such a mapping raises its mapping threshold to that
 # size and its trim threshold to twice it.  An unwritten block of this
 # many vectors, allocated and freed as a solve starts, makes the heap
-# serve those vectors and keep them when freed: without it a fresh
-# process solving 3-D Poisson n=40 with pcg took 128-137 ms per solve
-# against 104-114 ms on a 2-core Xeon, and the benchmark's poisson3d-large
-# command line ran ×1.19 slower (0 of 6 pairs faster).  It is the only
-# code that steers glibc: every block that outlives a step is a mapping
-# of its own (``linalg.blocks``).
+# serve those vectors and keep them when freed.  Since the windowed steps
+# update in place the gain is small, and largest for the GMRES step,
+# which still allocates its vectors on every column: over 20 alternating
+# pairs of fresh ``pipekrylov solve --problem poisson3d --n 40 --pc
+# jacobi --rtol 1e-08 --monitor-true-residual 0`` processes on a 2-core
+# Xeon, the median wall time with and without the block read 0.479
+# against 0.509 s for fgmres (14 of 20 pairs faster), 0.278 against
+# 0.289 s for pcg (14 of 20), 0.608 against 0.628 s for pipefcg and
+# 0.506 against 0.504 s for gcr.  It is the only code that steers glibc:
+# every block that outlives a step is a mapping of its own
+# (``linalg.blocks``).
 _HEAP_VECTORS = 8
 
 
@@ -171,8 +175,7 @@ def solve(cfg: SolverConfig, A: SparseOperator, B: Preconditioner,
         x_true_run = None if x_true is None else x_true / isq
         unscale = isq
 
-    rec = TraceRecorder(A_run, b_run, x_true_run, cfg.monitor_true_residual,
-                        observer)
+    rec = TraceRecorder(cfg, A_run, b_run, x_true_run, observer)
     try:
         x_run, converged, iterations, reason = _driver(cfg.method, seed)(
             cfg, A_run, B, b_run, x0_run, rec)

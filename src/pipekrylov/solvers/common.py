@@ -1,5 +1,6 @@
-"""Shared solver plumbing: configuration, traces, stopping logic, the run
-skeleton every driver is built on, and the operations every method family
+"""Shared solver plumbing: configuration, traces, the run object every
+driver ends in (:class:`TraceRecorder`: the loop, its stopping and restart
+policy and the trace it logs), and the operations every method family
 reuses (the truncated direction window, the stabilized
 preconditioned-direction update, and shift estimation).
 """
@@ -34,7 +35,6 @@ __all__ = [
     "stabilized_m_update",
     "estimate_sigma",
     "TraceRecorder",
-    "Driver",
     "DirectionWindow",
 ]
 
@@ -363,32 +363,148 @@ def estimate_sigma(A: SparseOperator, B: Preconditioner, k: int, seed: int):
 
 
 class TraceRecorder:
-    """Builds the iteration trace and runs the per-row diagnostics."""
+    """The run object of every method: runs the loop with its stopping and
+    restart policy, builds the iteration trace and runs the per-row
+    diagnostics.
 
-    def __init__(self, A: SparseOperator, b: np.ndarray,
-                 x_true: Optional[np.ndarray], monitor_true: bool,
-                 observer: Optional[Callable] = None):
+    Convergence: natural norm <= max(rtol * initial natural norm, atol).
+    Stagnation: the best natural norm fails to improve by STAGNATION_RTOL
+    relative over ``stagnation_window`` consecutive iterations (0 disables).
+    Breakdown recovery: a restart is allowed only if the best natural norm
+    strictly improved since the previous restart.  Every row after row 0
+    logs the method's per-row reduction-phase constants, read from
+    ``REDUCTION_LEDGER``; ``exact_theta`` adds the blocking phase of the
+    exact stabilized update, and a row after a refill, or whose step
+    reports an extra phase, adds one more.  A row reads its iterate when
+    the true residual is monitored, ``x_true`` is known or an observer
+    receives the state.  The recorder keeps a reference to the last
+    iterate logged, so a step returns its new iterate in an array other
+    than the one it was given and never writes into that one: the windowed
+    steps alternate between two buffers of the solve, the GMRES iterate is
+    a new array.
+    """
+
+    def __init__(self, cfg: SolverConfig, A: SparseOperator, b: np.ndarray,
+                 x_true: Optional[np.ndarray], observer: Optional[Callable] = None):
+        self.cfg = cfg
         self._A = A
         self._b = b
         self._x_true = x_true
         self._x_true_norm = norm2(x_true) if x_true is not None else None
-        self._monitor = monitor_true
+        self._monitor = cfg.monitor_true_residual
         self._observer = observer
+        self._reads = self._monitor or x_true is not None or observer is not None
+        self._blocking, self._overlapped, self._tags = REDUCTION_LEDGER[cfg.method]
+        # set by a refill that the next row carries, with its blocking phase
+        # and, on an accepted row, the restarted flag
+        self._carried = False
         self.trace: list[TraceRow] = []     # row 0 is the initial state
         self.last_x: Optional[np.ndarray] = None
 
-    @property
-    def reads_iterate(self) -> bool:
-        """True when a logged row reads its iterate: the true residual is
-        monitored, ``x_true`` is known, or an observer receives the state.
-        Drivers that form the iterate lazily must form it on every row
-        when this holds."""
-        return (self._monitor or self._x_true is not None
-                or self._observer is not None)
+    def run(self, x: np.ndarray, refill: Callable, step: Callable,
+            formed: Callable = lambda x: x, exact_theta: bool = False):
+        """Run a method given as its refill and its step; returns
+        ``(x, converged, iterations, stop_reason)``.
 
-    def log(self, i: int, x: np.ndarray, natural: float, nu_used: int,
-            red_blocking: int, red_overlapped: int, tags: frozenset,
-            breakdown: bool = False, restarted: bool = False) -> None:
+        ``refill(x)`` rebuilds the state from the iterate, empties the
+        window, and returns ``(natural, ok, state)``; ``ok`` is False when a
+        coupling scalar of the new state is not positive.  ``step(x)``
+        returns ``(x, row)``: the arguments of :meth:`_accept` after
+        ``(i, x)``, or on breakdown None or the keywords of
+        :meth:`_recover`.  ``formed(x)`` forms a lazily kept iterate: on an
+        accepted row that reads it or fills a cycle, before a breakdown's
+        refill, and on exit, each only where no earlier row formed it.
+        ``state`` and ``direction`` are the observer payloads.
+        """
+        cfg = self.cfg
+        self._refill, self._formed = refill, formed
+        self._blocking += exact_theta
+        natural, ok, state = refill(x)
+        self._threshold = max(cfg.rtol * natural, cfg.atol)
+        self._reached = "atol" if cfg.atol > cfg.rtol * natural else "rtol"
+        self._best = [natural]          # the best natural norm after each row
+        self._best_at_restart = math.inf
+        self.log(0, x, natural, 0, 0, not ok and natural > 0.0, False, state)
+        stop = (self._reached if natural <= self._threshold
+                else None if ok else UNRECOVERABLE)
+        i = 0
+        while stop is None and i < cfg.max_it:
+            i += 1
+            x, row = step(x)
+            if isinstance(row, tuple):
+                x, stop = self._accept(i, x, *row)
+            else:
+                x, stop = self._recover(i, x, **(row or {}))
+            # drop the row's vectors, so the next step frees each old
+            # vector as it replaces it
+            del row
+        # a step that ends the run on a non-finite refill logs no row
+        return (x if self._reads else formed(x), stop == self._reached,
+                self.trace[-1].iter, stop or "max_it")
+
+    def _accept(self, i, x, natural, nu, state: dict,
+                direction: Optional[dict] = None,
+                breakdown=False, restarted=False, fills_cycle=False, extra=0):
+        """Log an accepted row; returns ``(x, stop_reason or None)``.
+        ``fills_cycle`` marks the row that fills a restart cycle: the state
+        is refilled after it with no row of its own, the next row carries
+        that refill, and an exact or non-finite refill ends the run here.
+        ``extra`` counts blocking phases the step added to the method's."""
+        if self._reads:
+            x = self._formed(x)
+        self.log(i, x, natural, nu, extra, breakdown,
+                 restarted or self._carried, state)
+        if direction is not None:
+            self.observe("direction", i, **direction)
+        if natural <= self._threshold:
+            return x, self._reached
+        stop = self._stagnated(natural)
+        if fills_cycle and stop is None:
+            if not self._reads:
+                x = self._formed(x)
+            natural = self._refill(x)[0]
+            self._carried = True
+            stop = (UNRECOVERABLE if not math.isfinite(natural)
+                    else self._reached if natural == 0.0 else None)
+        return x, stop
+
+    def _recover(self, i, x, nu=0, breakdown=True):
+        """The breakdown path: refill from the formed iterate and log a
+        flagged row; returns ``(x, stop_reason or None)``.  A non-finite
+        refill ends the run with no row, one that uncovers convergence ends
+        it on a row not flagged restarted.  Otherwise the run restarts if
+        ``ok`` and the restart policy allow; ``breakdown=False`` marks a
+        vanished minimal-residual column, which always restarts."""
+        if not self._reads:
+            x = self._formed(x)
+        natural, ok, state = self._refill(x)
+        if not math.isfinite(natural):
+            return x, UNRECOVERABLE
+        converged = natural <= self._threshold
+        restart = not converged and (
+            not breakdown or ok and self._best[-1] < self._best_at_restart)
+        if restart and breakdown:
+            self._best_at_restart = self._best[-1]
+        self.log(i, x, natural, nu, 1, breakdown, restart, state)
+        if converged:
+            return x, self._reached
+        return x, self._stagnated(natural) if restart else UNRECOVERABLE
+
+    def _stagnated(self, natural) -> Optional[str]:
+        """Record a row's natural norm; "stagnation" when the window trips."""
+        best = min(natural, self._best[-1])
+        self._best.append(best)
+        window = self.cfg.stagnation_window
+        if (window and len(self._best) > window
+                and best > (1.0 - STAGNATION_RTOL) * self._best[-1 - window]):
+            return "stagnation"
+        return None
+
+    def log(self, i: int, x: np.ndarray, natural: float, nu_used: int, extra: int,
+            breakdown: bool, restarted: bool, state: dict) -> None:
+        """Append row i, with its diagnostics and its phase counts (none on
+        row 0; after it the method's, ``extra`` and a carried refill's),
+        and send its ``state`` event."""
         # rows hold plain floats; numpy scalars repr differently and would
         # leak into summaries
         natural = float(natural)
@@ -404,144 +520,17 @@ class TraceRecorder:
             relerr = norm2(x - self._x_true) / self._x_true_norm
             if not np.isfinite(relerr):
                 raise FloatingPointError("non-finite relative error")
-        self.trace.append(TraceRow(i, natural, rnorm_true, relerr, nu_used,
-                                   red_blocking, red_overlapped, tags,
+        counts = ((self._blocking + extra + self._carried, self._overlapped, self._tags)
+                  if i else (0, 0, NO_TAGS))
+        self._carried = False
+        self.trace.append(TraceRow(i, natural, rnorm_true, relerr, nu_used, *counts,
                                    breakdown, restarted))
-        # a reference, not a copy: no driver writes into the array of the
-        # last logged iterate (see Driver)
+        # a reference, not a copy: no step writes into the array of the
+        # last logged iterate
         self.last_x = x
+        self.observe("state", i, x=x, **state)
 
     def observe(self, event: str, i: int, **payload) -> None:
         if self._observer is not None:
             self._observer(event, i, {k: (v.copy() if isinstance(v, np.ndarray) else v)
                                       for k, v in payload.items()})
-
-
-class Driver:
-    """The run loop of every method, with its stopping and restart policy.
-
-    Convergence: natural norm <= max(rtol * initial natural norm, atol).
-    Stagnation: the best natural norm fails to improve by STAGNATION_RTOL
-    relative over ``stagnation_window`` consecutive iterations (0 disables).
-    Breakdown recovery: a restart is allowed only if the best natural norm
-    strictly improved since the previous restart.  Every row after row 0
-    logs the method's per-row reduction-phase constants, read from
-    ``REDUCTION_LEDGER``; ``exact_theta`` adds the blocking phase of the
-    exact stabilized update, and a row after a refill, or whose step
-    reports an extra phase, adds one more.  The recorder keeps a
-    reference to the last iterate logged, so a step returns its new
-    iterate in an array other than the one it was given and never writes
-    into that one: the windowed steps alternate between two buffers of
-    the solve, the GMRES step forms a new array.
-    """
-
-    def __init__(self, cfg: SolverConfig, rec: TraceRecorder,
-                 exact_theta: bool = False):
-        self.cfg = cfg
-        self.rec = rec
-        self.blocking, self.overlapped, self.tags = REDUCTION_LEDGER[cfg.method]
-        self.blocking += exact_theta
-
-    def run(self, x: np.ndarray, refill: Callable, step: Callable,
-            formed: Callable = lambda x: x):
-        """Run a method given as its refill and its step; returns
-        ``(x, converged, iterations, stop_reason)``.
-
-        ``refill(x)`` rebuilds the state from the iterate, empties the
-        window, and returns ``(natural, ok, state)``; ``ok`` is False when a
-        coupling scalar of the new state is not positive.  ``step(x)``
-        returns ``(x, row)``: the arguments of :meth:`_accept` after
-        ``(i, x)``, or on breakdown None or the keywords of
-        :meth:`_recover`.  ``formed(x)`` forms a lazily kept iterate before
-        each later refill and on exit.  ``state`` and ``direction`` are the
-        observer payloads.
-        """
-        cfg = self.cfg
-        self._refill, self._formed = refill, formed
-        natural, ok, state = refill(x)
-        self._threshold = max(cfg.rtol * natural, cfg.atol)
-        self._reached = "atol" if cfg.atol > cfg.rtol * natural else "rtol"
-        self._best = [natural]          # the best natural norm after each row
-        self._best_at_restart = math.inf
-        # set by a refill that the next row carries, with its blocking phase
-        # and the restarted flag
-        self._carried = False
-        self.rec.log(0, x, natural, 0, 0, 0, NO_TAGS,
-                     breakdown=not ok and natural > 0.0)
-        self.rec.observe("state", 0, x=x, **state)
-        stop = (self._reached if natural <= self._threshold
-                else None if ok else UNRECOVERABLE)
-        i = 0
-        while stop is None and i < cfg.max_it:
-            i += 1
-            x, row = step(x)
-            if isinstance(row, tuple):
-                x, stop = self._accept(i, x, *row)
-            else:
-                x, stop = self._recover(i, x, **(row or {}))
-            # drop the row's vectors, so the next step frees each old
-            # vector as it replaces it
-            del row
-        # a step that ends the run on a non-finite refill logs no row
-        return formed(x), stop == self._reached, self.rec.trace[-1].iter, stop or "max_it"
-
-    def _accept(self, i, x, natural, nu, state: dict,
-                direction: Optional[dict] = None,
-                breakdown=False, restarted=False, fills_cycle=False, extra=0):
-        """Log an accepted row; returns ``(x, stop_reason or None)``.
-        ``fills_cycle`` marks the row that fills a restart cycle: the state
-        is refilled after it with no row of its own, the next row carries
-        that refill, and an exact or non-finite refill ends the run here.
-        ``extra`` counts blocking phases the step added to the method's."""
-        self._log(i, x, natural, nu, extra, breakdown,
-                  restarted or self._carried, state)
-        if direction is not None:
-            self.rec.observe("direction", i, **direction)
-        if natural <= self._threshold:
-            return x, self._reached
-        stop = self._stagnated(natural)
-        if fills_cycle and stop is None:
-            x = self._formed(x)
-            natural = self._refill(x)[0]
-            self._carried = True
-            stop = (UNRECOVERABLE if not math.isfinite(natural)
-                    else self._reached if natural == 0.0 else None)
-        return x, stop
-
-    def _recover(self, i, x, nu=0, breakdown=True):
-        """The breakdown path: refill from the formed iterate and log a
-        flagged row; returns ``(x, stop_reason or None)``.  A non-finite
-        refill ends the run with no row, one that uncovers convergence ends
-        it on a row not flagged restarted.  Otherwise the run restarts if
-        ``ok`` and the restart policy allow; ``breakdown=False`` marks a
-        vanished minimal-residual column, which always restarts."""
-        x = self._formed(x)
-        natural, ok, state = self._refill(x)
-        if not math.isfinite(natural):
-            return x, UNRECOVERABLE
-        converged = natural <= self._threshold
-        restart = not converged and (
-            not breakdown or ok and self._best[-1] < self._best_at_restart)
-        if restart and breakdown:
-            self._best_at_restart = self._best[-1]
-        self._log(i, x, natural, nu, 1, breakdown, restart, state)
-        if converged:
-            return x, self._reached
-        return x, self._stagnated(natural) if restart else UNRECOVERABLE
-
-    def _log(self, i, x, natural, nu, extra, breakdown, restarted, state):
-        extra += self._carried
-        self._carried = False
-        self.rec.log(i, x, natural, nu, self.blocking + extra, self.overlapped,
-                     self.tags, breakdown=breakdown, restarted=restarted)
-        self.rec.observe("state", i, x=x, **state)
-
-    def _stagnated(self, natural) -> Optional[str]:
-        """Record a row's natural norm; "stagnation" when the window trips."""
-        best = min(natural, self._best[-1])
-        self._best.append(best)
-        window = self.cfg.stagnation_window
-        if (window and len(self._best) > window
-                and best > (1.0 - STAGNATION_RTOL) * self._best[-1 - window]):
-            return "stagnation"
-        return None

@@ -8,9 +8,9 @@ allocated once per solve, holds V[k] and U[k] side by side; column k
 projects z = A·U[k-1] - sigma*V[k-1] onto V in one stacked product, and
 each update is one product with the block.  Each step of the shared loop
 adds one column; the row that fills the cycle asks the loop to refill
-after it.  The iterate x_cycle + U y is formed only where it is read: on
-every row when the recorder reads it, and otherwise only before a refill
-and on exit.
+after it.  The iterate x_cycle + U y is kept lazily, and the loop forms it
+only where it is read: on every row that a reader (monitoring, ``x_true``
+or an observer) reads, and otherwise only before a refill and on exit.
 
 With sigma = 0 (always for ``fgmres``, by default for the other two) the
 column takes z = A·U[k-1] itself, with no shift pass.  That is bitwise
@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from ..linalg import blocks, dot, maxpy, mdot, norm2, stacked_maxpy
-from .common import Driver, estimate_sigma
+from .common import estimate_sigma
 
 EPS = float(np.finfo(np.float64).eps)
 # a remainder <z, z> - |h|^2 below this many eps·<z, z> is rounding: the
@@ -113,7 +113,6 @@ def driver(cfg, A, B, b, x0, rec, fused, pipelined, seed):
         # before the first cycle applies B, so a noisy B's draws go here first
         sigma = estimate_sigma(A, B, cfg.sigma_auto_power, seed)[0]
     mlen = cfg.restart_len
-    eager = rec.reads_iterate
     cycle = blocks(mlen, 3 if pipelined else 2, b.shape[0])
     V, U = cycle[:, 0], cycle[:, 1]
     x_cycle = r = beta = ls = au = z = qb = wb = coeffs = zbar = None
@@ -183,15 +182,8 @@ def driver(cfg, A, B, b, x0, rec, fused, pipelined, seed):
             return x, {"nu": j, "breakdown": failed}
         natural = ls.append(col, j, d)
         k = j
-        # a row that reads no iterate logs the last one formed
-        if eager:
-            x = ls.iterate(x_cycle, U, k)
         # a fused method's explicit norm is one more blocking phase
         return x, (natural, k, {}, None, False, False, k == mlen, explicit and fused)
 
-    drv = Driver(cfg, rec)
-    if eager:
-        # every row already holds the iterate of the accepted columns
-        return drv.run(x0, refill, step)
-    # the iterate of the cycle's accepted columns, formed on refill and exit
-    return drv.run(x0, refill, step, lambda x: ls.iterate(x_cycle, U, k))
+    # the iterate of the cycle's accepted columns, formed where it is read
+    return rec.run(x0, refill, step, lambda x: ls.iterate(x_cycle, U, k))

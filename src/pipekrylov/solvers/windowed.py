@@ -68,7 +68,6 @@ import numpy as np
 from ..linalg import blocks, dot, norm2
 from .common import (
     DirectionWindow,
-    Driver,
     accepted_row,
     natural_norm,
     positive,
@@ -91,7 +90,7 @@ def driver(cfg, A, B, b, x0, rec, fused, pipelined, residual, recur_w, naive, sh
     recur_s = fused or cr               # s recurred, not applied to each p
     # The vectors of the solve, allocated once and updated in place.  The
     # iterate alternates between x0, the solve's own, and one more vector,
-    # so that a step never writes into the last one logged (see Driver).
+    # so that a step never writes into the last one logged (see TraceRecorder).
     # t holds alpha times a direction column; the pipelined methods also
     # form m in it, which the combination reads before t is needed again.
     # The operator's images (w, n, and s where it is applied) are new
@@ -237,5 +236,4 @@ def driver(cfg, A, B, b, x0, rec, fused, pipelined, residual, recur_w, naive, sh
             return x, None
         return x, accepted_row(gamma, nu, r, u, p, s, eta)
 
-    drv = Driver(cfg, rec, exact_theta=pipelined and theta_mode == "exact")
-    return drv.run(x0, refill, step)
+    return rec.run(x0, refill, step, exact_theta=pipelined and theta_mode == "exact")

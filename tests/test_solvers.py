@@ -233,6 +233,8 @@ LAZY_ITERATE_CASES = {
                    dict(rtol=1e-30, stagnation_window=30, max_it=600), "stagnation"),
     # a zero image on call 3 ends the first cycle early on column 4
     "vanished-column": (lambda A: _ZeroOnCall(A, 3), dict(restart_len=10), "rtol"),
+    # every row fills a cycle, and every row after the first carries a refill
+    "restart_len-1": (JacobiPreconditioner, dict(restart_len=1), "max_it"),
 }
 
 
@@ -252,29 +254,58 @@ def test_lazy_iterate_matches_the_eager_one_bitwise(method, case):
         assert bare.trace[11].restarted and bare.iterations == 17
     if case == "max_it-at-cycle-end":
         assert bare.trace[11].restarted and bare.iterations == 20
+    if case == "restart_len-1":
+        assert sum(row.restarted for row in bare.trace) == bare.iterations - 1 == 399
 
 
-@pytest.mark.parametrize("case", ["rtol", "max_it-at-cycle-end"])
-def test_monitored_pipefgmres_forms_each_iterate_once(case, monkeypatch):
-    # pipefgmres forms its basis rows with stacked_maxpy, so maxpy runs
-    # only to form an iterate: once per row when each row reads it, and
-    # neither again before a refill nor on exit
-    calls, maxpy = [], gmres_module.maxpy
+# reader -> (monitoring, x_true given, observer given)
+ITERATE_READERS = {
+    "monitoring": (True, False, False),
+    "x_true": (False, True, False),
+    "observer": (False, False, True),
+    "none": (False, False, False),
+}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return maxpy(*args, **kwargs)
 
-    monkeypatch.setattr(gmres_module, "maxpy", counted)
+# case -> (rows, iterates formed with a reader, iterates formed with none)
+FORMED_ITERATES = {
+    "rtol": (336, 336, 34),                 # 33 cycle ends and the exit
+    "max_it-at-cycle-end": (20, 20, 2),     # the exit's cycle has no column
+    # the flagged row 4 logs row 3's iterate; bare, it forms that one, then
+    # 29 cycle ends and the exit do
+    "vanished-column": (297, 296, 31),
+}
+
+
+@pytest.mark.parametrize("case", FORMED_ITERATES)
+@pytest.mark.parametrize("reader", ITERATE_READERS)
+@pytest.mark.parametrize("method", GMRES_FAMILY)
+def test_each_gmres_iterate_is_formed_once(method, reader, case, monkeypatch):
+    # any reader forms the iterate on each accepted row, and neither again
+    # before a refill nor on exit; with none, each refill and the exit form
+    # it, and an iterate over no column is the cycle's start, formed by no
+    # product.  maxpy is not counted: fgmres and cgfgmres also form their
+    # basis rows with it.
+    formed, iterate = [], gmres_module._LeastSquares.iterate
+
+    def counted(self, x_cycle, U, k):
+        if k > 0:
+            formed.append(k)
+        return iterate(self, x_cycle, U, k)
+
+    monkeypatch.setattr(gmres_module._LeastSquares, "iterate", counted)
+    monitor, with_x_true, with_observer = ITERATE_READERS[reader]
     prob = make_poisson(2, 32, seed=0)
     make_pc, overrides, reason = LAZY_ITERATE_CASES[case]
-    cfg = SolverConfig(method="pipefgmres", **{"max_it": 400, "restart_len": 10,
-                                                **overrides})
-    res = solve(cfg, prob.A, make_pc(prob.A), prob.b, x_true=prob.x_true)
-    assert res.stop_reason == reason
-    assert not any(row.breakdown for row in res.trace)
-    assert any(row.restarted for row in res.trace)
-    assert len(calls) == res.iterations
+    cfg = SolverConfig(method=method, monitor_true_residual=monitor,
+                       **{"max_it": 400, "restart_len": 10, **overrides})
+    res = solve(cfg, prob.A, make_pc(prob.A), prob.b,
+                x_true=prob.x_true if with_x_true else None,
+                observer=collector([]) if with_observer else None)
+    rows, formed_read, formed_bare = FORMED_ITERATES[case]
+    assert (res.stop_reason, res.iterations) == (reason, rows)
+    assert res.trace[4].restarted == (case == "vanished-column")
+    assert len(formed) == (formed_bare if reader == "none" else formed_read)
 
 
 @st.composite
@@ -629,6 +660,9 @@ def test_flagged_rows_add_one_blocking_refill_phase():
         blocking, overlapped, tags = REDUCTION_LEDGER[method]
         if method != "pipefcg_naive":
             blocking += 1           # the naive variant flushes without a refill
+        row = res.trace[0]
+        assert (row.red_blocking, row.red_overlapped, row.overlap_tags) == \
+            (0, 0, frozenset()), method
         for row in res.trace:
             if row.iter >= 1 and (row.breakdown or row.restarted):
                 reached.add(method)
@@ -772,9 +806,10 @@ NON_FINITE_DIAGNOSTICS = {
 def test_non_finite_diagnostic_is_a_breakdown(case, poisson8):
     x0, x_true, monitored, make_pc = NON_FINITE_DIAGNOSTICS[case]
     with np.errstate(all="ignore"):
-        rec = TraceRecorder(poisson8.A, poisson8.b, x_true, monitored)
+        rec = TraceRecorder(SolverConfig(method="pcg", monitor_true_residual=monitored),
+                            poisson8.A, poisson8.b, x_true)
         with pytest.raises(FloatingPointError, match=case):
-            rec.log(0, np.zeros(64) if x0 is None else x0, 1.0, 0, 0, 0, frozenset())
+            rec.log(0, np.zeros(64) if x0 is None else x0, 1.0, 0, 0, False, False, {})
         res = solve(SolverConfig(method="pcg", monitor_true_residual=monitored),
                     poisson8.A, make_pc(poisson8.A), poisson8.b, x0=x0, x_true=x_true)
     assert rec.trace == []
